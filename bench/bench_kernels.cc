@@ -19,6 +19,18 @@
 // checks, ns per check, checks/s) to a machine-readable file for tracking
 // the kernel ratios across hosts.
 //
+// Two signature rows follow the grid. `merge_min` times the MinHash merge
+// kernel (kernels/min_merge.h) on every backend the host can run: one
+// 100-slot column merge per unit, "ns per merge". `siggen_ib` runs
+// SigGen-IB over the in-memory tree at IND d = 8 under each flavour (the
+// flavour classifies the leaf points): one (point, dominator) pair — a
+// unit of the summed domination scores — per unit, "ns per pair", the
+// figure perfbench reports as minhash.ns_per_pair.
+//
+// Every JSON record carries its unit, its count and the spread of its
+// repetitions; the file carries the host facts (cores, ISA, merge backend,
+// compiler, build type) and the repetition count.
+//
 // A second micro isolates the tile-aware BBS node prune: every tree
 // node's entry lo-corners, captured once from a full walk, are decided
 // against the materialized skyline tiles two ways — per-entry (the
@@ -35,13 +47,16 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/harness.h"
 #include "common/cpu.h"
 #include "common/timer.h"
 #include "core/dominance.h"
+#include "kernels/min_merge.h"
 #include "kernels/tile_view.h"
 #include "minhash/siggen.h"
 #include "rtree/node_corners.h"
@@ -54,29 +69,53 @@ namespace {
 constexpr int kReps = 3;
 constexpr size_t kSignatureSize = 100;
 
-template <typename Fn>
-double BestOf(Fn&& fn) {
+// Best and worst wall time over kReps runs; records report the best and
+// the spread (worst - best) / best.
+struct Timing {
   double best = 1e300;
+  double worst = 0.0;
+  double spread() const { return best > 0.0 ? (worst - best) / best : 0.0; }
+};
+
+template <typename Fn>
+Timing BestOf(Fn&& fn) {
+  Timing timing;
   for (int rep = 0; rep < kReps; ++rep) {
     WallTimer timer;
     fn();
-    best = std::min(best, timer.ElapsedSeconds());
+    const double s = timer.ElapsedSeconds();
+    timing.best = std::min(timing.best, s);
+    timing.worst = std::max(timing.worst, s);
   }
-  return best;
+  return timing;
 }
 
 constexpr DomKernel kFlavours[] = {DomKernel::kScalar, DomKernel::kTiled,
                                    DomKernel::kSimd};
 
-// One grid cell for the JSON report.
+// One grid cell for the JSON report: `count` units of work (dominance
+// checks, column merges or dominated pairs) in `timing.best` seconds.
 struct JsonRecord {
   std::string workload;
   Dim dims = 0;
   std::string flavour;
   std::string op;
-  double seconds = 0.0;
-  uint64_t checks = 0;
+  Timing timing;
+  uint64_t count = 0;
+  const char* unit = "check";
 };
+
+#ifndef SKYDIVER_BUILD_TYPE
+#define SKYDIVER_BUILD_TYPE "unknown"
+#endif
+
+#if defined(__clang__)
+constexpr const char* kCompiler = __VERSION__;  // "Clang x.y.z ..."
+#elif defined(__GNUC__)
+constexpr const char* kCompiler = "GCC " __VERSION__;
+#else
+constexpr const char* kCompiler = "unknown";
+#endif
 
 void WriteJson(const std::string& path, const std::string& bench, RowId n,
                const std::vector<JsonRecord>& records) {
@@ -85,23 +124,54 @@ void WriteJson(const std::string& path, const std::string& bench, RowId n,
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
+  // skylint:allow(determinism): capacity probe, not a randomness source —
+  // a host fact recorded beside the timings.
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
   out << "{\n  \"bench\": \"" << bench << "\",\n  \"n\": " << n
-      << ",\n  \"isa\": \"" << ToString(DetectSimdIsa()) << "\",\n  \"records\": [\n";
+      << ",\n  \"isa\": \"" << ToString(DetectSimdIsa()) << "\",\n  \"host\": {\"cores\": "
+      << cores << ", \"isa\": \""
+      << ToString(DetectSimdIsa()) << "\", \"merge_backend\": \"" << MergeMinBackend()
+      << "\", \"compiler\": \"" << kCompiler << "\", \"build_type\": \""
+      << SKYDIVER_BUILD_TYPE << "\"},\n  \"repetitions\": " << kReps
+      << ",\n  \"statistic\": \"best of repetitions; spread = (worst - best) / best\""
+      << ",\n  \"records\": [\n";
   for (size_t i = 0; i < records.size(); ++i) {
     const JsonRecord& r = records[i];
-    const double ns_per_check =
-        r.checks == 0 ? 0.0 : r.seconds * 1e9 / static_cast<double>(r.checks);
-    const double checks_per_s =
-        r.seconds == 0.0 ? 0.0 : static_cast<double>(r.checks) / r.seconds;
+    const double seconds = r.timing.best;
+    const double ns_per_unit =
+        r.count == 0 ? 0.0 : seconds * 1e9 / static_cast<double>(r.count);
+    const double per_s = seconds == 0.0 ? 0.0 : static_cast<double>(r.count) / seconds;
     out << "    {\"workload\": \"" << r.workload << "\", \"dims\": " << r.dims
         << ", \"flavour\": \"" << r.flavour << "\", \"op\": \"" << r.op
-        << "\", \"seconds\": " << r.seconds << ", \"checks\": " << r.checks
-        << ", \"ns_per_check\": " << ns_per_check
-        << ", \"checks_per_s\": " << checks_per_s << "}"
+        << "\", \"seconds\": " << seconds << ", \"spread\": " << r.timing.spread()
+        << ", \"unit\": \"" << r.unit << "\", \"count\": " << r.count
+        << ", \"ns_per_unit\": " << ns_per_unit << ", \"per_s\": " << per_s << "}"
         << (i + 1 < records.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   std::printf("wrote %zu records to %s\n", records.size(), path.c_str());
+}
+
+// MinHash merge micro: `merges` 100-slot column merges of a changing row
+// into the columns of a small (cache-resident) t x `columns` matrix, round
+// robin, on one backend — the kernel's own cost, not the memory system's.
+// `digest` folds the final matrix for the cross-backend identity check.
+Timing TimeMergeMin(kernel_internal::MergeMinFn fn, size_t columns, size_t merges,
+                    uint64_t* digest) {
+  std::vector<uint32_t> row(kSignatureSize);
+  std::vector<uint32_t> matrix(kSignatureSize * columns);
+  const Timing timing = BestOf([&] {
+    std::iota(row.begin(), row.end(), 1u << 20);
+    std::fill(matrix.begin(), matrix.end(), kEmptySlot32);
+    for (size_t k = 0; k < merges; ++k) {
+      row[k % kSignatureSize] -= 1;  // keep every merge live
+      fn(matrix.data() + (k % columns) * kSignatureSize, row.data(), kSignatureSize);
+    }
+  });
+  uint64_t h = 0;
+  for (uint32_t v : matrix) h = h * 31 + v;
+  *digest = h;
+  return timing;
 }
 
 // -------------------------------------------------------------------------
@@ -240,14 +310,16 @@ int Run(int argc, char** argv) {
       for (size_t f = 0; f < 3; ++f) {
         const DomKernel flavour = kFlavours[f];
         uint64_t before = DominanceCounter::Count();
-        sfs_s[f] = BestOf([&] { sink = SkylineSFS(data, flavour).rows; });
-        records.push_back({workload, d, ToString(flavour), "sfs", sfs_s[f],
+        const Timing sfs = BestOf([&] { sink = SkylineSFS(data, flavour).rows; });
+        sfs_s[f] = sfs.best;
+        records.push_back({workload, d, ToString(flavour), "sfs", sfs,
                            (DominanceCounter::Count() - before) / kReps});
         before = DominanceCounter::Count();
-        if_s[f] = BestOf([&] {
+        const Timing sig_if = BestOf([&] {
           checks_sink += SigGenIF(data, skyline, family, flavour)->dominance_checks;
         });
-        records.push_back({workload, d, ToString(flavour), "siggen_if", if_s[f],
+        if_s[f] = sig_if.best;
+        records.push_back({workload, d, ToString(flavour), "siggen_if", sig_if,
                            (DominanceCounter::Count() - before) / kReps});
       }
       (void)checks_sink;
@@ -260,7 +332,7 @@ int Run(int argc, char** argv) {
       uint64_t fd_digest[3] = {0, 0, 0};
       for (size_t f = 0; f < 3; ++f) {
         const DominanceKernel kernel(kFlavours[f]);
-        fd_s[f] = BestOf([&] {
+        const Timing fd = BestOf([&] {
           uint64_t digest = 0;
           for (RowId r = 0; r < data.size(); ++r) {
             const auto p = data.row(r);
@@ -270,8 +342,9 @@ int Run(int argc, char** argv) {
           }
           fd_digest[f] = digest;
         });
+        fd_s[f] = fd.best;
         records.push_back({workload, d, ToString(kFlavours[f]),
-                           "filter_dominators", fd_s[f],
+                           "filter_dominators", fd,
                            static_cast<uint64_t>(data.size()) * m});
       }
 
@@ -305,6 +378,62 @@ int Run(int argc, char** argv) {
                     fd_s[2] * 1.3 <= fd_s[1]);
       }
     }
+  }
+
+  // ---------------------------------------------------------------------
+  // Signature rows: the MinHash merge kernel per backend, and SigGen-IB's
+  // cost per (point, dominator) pair under each flavour.
+  std::printf("\nMinHash merge (t = %zu) and SigGen-IB (IND d = 8)\n", kSignatureSize);
+  TablePrinter sig_table({"op", "flavour", "count", "unit", "best_s", "ns_per_unit"});
+  {
+    struct Backend {
+      const char* name;
+      kernel_internal::MergeMinFn fn;
+    };
+    std::vector<Backend> backends = {{"portable", kernel_internal::PortableMergeMin()}};
+    if (ProbeSimdIsa() == SimdIsa::kAvx2 && kernel_internal::Avx2MergeMin() != nullptr) {
+      backends.push_back({"avx2", kernel_internal::Avx2MergeMin()});
+    }
+    const size_t columns = 64;
+    const auto merges = static_cast<size_t>(4'000'000 / std::max(1.0, env.scale()));
+    std::vector<uint64_t> digests;
+    for (const Backend& b : backends) {
+      uint64_t digest = 0;
+      const Timing merge = TimeMergeMin(b.fn, columns, merges, &digest);
+      digests.push_back(digest);
+      records.push_back({"-", 0, b.name, "merge_min", merge, merges, "merge"});
+      sig_table.Row({"merge_min", b.name, TablePrinter::Int(merges), "merge",
+                     TablePrinter::Secs(merge.best),
+                     TablePrinter::Num(merge.best * 1e9 / static_cast<double>(merges), 2)});
+    }
+    shape.Check("merge backends produce identical matrices",
+                std::all_of(digests.begin(), digests.end(),
+                            [&](uint64_t d) { return d == digests[0]; }));
+  }
+  {
+    const DataSet& data = env.Data(WorkloadKind::kIndependent, paper_n, 8);
+    const RTree& tree = env.Tree(WorkloadKind::kIndependent, paper_n, 8);
+    const auto skyline = SkylineSFS(data).rows;
+    const auto family = MinHashFamily::Create(kSignatureSize, data.size(), env.seed());
+    uint64_t pairs[3] = {0, 0, 0};
+    uint64_t checks[3] = {0, 0, 0};
+    for (size_t f = 0; f < 3; ++f) {
+      SigGenResult ib;
+      const Timing timing = BestOf([&] {
+        ib = SigGenIB(data, skyline, family, tree, kFlavours[f]).value();
+      });
+      pairs[f] = std::accumulate(ib.domination_scores.begin(), ib.domination_scores.end(),
+                                 uint64_t{0});
+      checks[f] = ib.dominance_checks;
+      records.push_back({"IND", 8, ToString(kFlavours[f]), "siggen_ib", timing, pairs[f],
+                         "pair"});
+      sig_table.Row({"siggen_ib", ToString(kFlavours[f]), TablePrinter::Int(pairs[f]), "pair",
+                     TablePrinter::Secs(timing.best),
+                     TablePrinter::Num(timing.best * 1e9 / static_cast<double>(pairs[f]), 2)});
+    }
+    shape.Check("SigGen-IB pairs and dominance checks identical across flavours",
+                pairs[0] == pairs[1] && pairs[1] == pairs[2] && checks[0] == checks[1] &&
+                    checks[1] == checks[2]);
   }
   if (!json_path.empty()) WriteJson(json_path, "kernels", actual_n, records);
 
@@ -344,17 +473,19 @@ int Run(int argc, char** argv) {
     for (size_t f = 0; f < 3; ++f) {
       const DominanceKernel kernel(kFlavours[f]);
       uint64_t before = DominanceCounter::Count();
-      pe_s[f] = BestOf(
+      const Timing pe = BestOf(
           [&] { pe_digest[f] = PerEntryReplay(workload, sky_tiles, kernel); });
+      pe_s[f] = pe.best;
       bbs_records.push_back({workload_name, cell.dims, ToString(kFlavours[f]),
-                             "bbs_per_entry", pe_s[f],
+                             "bbs_per_entry", pe,
                              (DominanceCounter::Count() - before) / kReps});
       before = DominanceCounter::Count();
-      ct_s[f] = BestOf([&] {
+      const Timing ct = BestOf([&] {
         ct_digest[f] = CornerTileReplay(workload, sky_tiles, kernel, &scratch);
       });
+      ct_s[f] = ct.best;
       bbs_records.push_back({workload_name, cell.dims, ToString(kFlavours[f]),
-                             "bbs_corner_tile", ct_s[f],
+                             "bbs_corner_tile", ct,
                              (DominanceCounter::Count() - before) / kReps});
     }
 

@@ -8,6 +8,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <vector>
@@ -50,7 +51,11 @@ class DataSet {
   /// Appends a row; `point.size()` must equal dims().
   void Append(std::span<const Coord> point) {
     SKYDIVER_DCHECK_EQ(point.size(), dims_);
-    values_.insert(values_.end(), point.begin(), point.end());
+    // Grow, then copy: GCC 12 at -O3 reports a false -Wstringop-overflow
+    // for vector::insert of a span inlined from an initializer_list.
+    const size_t old = values_.size();
+    values_.resize(old + point.size());
+    std::copy(point.begin(), point.end(), values_.data() + old);
   }
 
   void Append(std::initializer_list<Coord> point) {

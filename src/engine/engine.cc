@@ -123,8 +123,9 @@ class SkylineStage : public Stage {
 };
 
 // Builds the MinHash signatures and exact domination scores (Phase 1).
-// The IF backends take the plan's kernel; the IB descent is tree-shaped
-// (corner tests against MBRs, not point blocks), so it stays scalar.
+// Every backend takes the plan's kernel: the IF passes classify data rows
+// with it, the IB descents their leaf points (the corner tests against
+// inner MBRs stay scalar).
 class FingerprintStage : public Stage {
  public:
   FingerprintStage(FingerprintBackend backend, DomKernel kernel, size_t morsel_rows)
@@ -146,17 +147,18 @@ class FingerprintStage : public Stage {
         break;
       }
       case FingerprintBackend::kSigGenIb:
-        result = SigGenIB(state.data, skyline, state.family, *state.res.tree);
+        result = SigGenIB(state.data, skyline, state.family, *state.res.tree, kernel_);
         break;
       case FingerprintBackend::kParallelIb: {
         auto pool = RequirePool(ctx, "parallel-siggen-ib");
         if (!pool.ok()) return pool.status();
-        result =
-            ParallelSigGenIB(state.data, skyline, state.family, *state.res.tree, **pool);
+        result = ParallelSigGenIB(state.data, skyline, state.family, *state.res.tree,
+                                  **pool, kernel_);
         break;
       }
       case FingerprintBackend::kSigGenIbDisk:
-        result = SigGenIB(state.data, skyline, state.family, *state.res.disk_tree);
+        result =
+            SigGenIB(state.data, skyline, state.family, *state.res.disk_tree, kernel_);
         break;
     }
     if (!result.ok()) return result.status();

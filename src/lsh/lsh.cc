@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/check.h"
 
@@ -80,9 +81,15 @@ Result<LshIndex> LshIndex::Build(const SignatureMatrix& signatures,
   const size_t bits = params.zones * params.buckets_per_zone;
   index.vectors_.assign(m, BitVector(bits));
   index.buckets_.assign(m * params.zones, 0);
+  // Each zone's hash chain starts from a per-zone seed, the same for every
+  // column.
+  std::vector<uint64_t> zone_seed(params.zones);
+  for (size_t z = 0; z < params.zones; ++z) {
+    zone_seed[z] = Mix64(seed ^ (0x9e3779b97f4a7c15ULL * (z + 1)));
+  }
   for (size_t j = 0; j < m; ++j) {
     for (size_t z = 0; z < params.zones; ++z) {
-      uint64_t h = Mix64(seed ^ (0x9e3779b97f4a7c15ULL * (z + 1)));
+      uint64_t h = zone_seed[z];
       for (size_t rr = 0; rr < params.rows_per_zone; ++rr) {
         h = Mix64(h ^ signatures.at(j, z * params.rows_per_zone + rr));
       }

@@ -1,6 +1,7 @@
 #include "minhash/minhash.h"
 
 #include <cmath>
+#include <string>
 
 #include "common/binio.h"
 #include "common/check.h"
@@ -18,7 +19,9 @@ Status SignatureMatrix::SaveToFile(const std::string& path) const {
   if (!writer.ok()) return Status::IoError("cannot open '" + path + "' for writing");
   writer.WriteU64(t_);
   writer.WriteU64(m_);
-  for (uint64_t v : slots_) writer.WriteU64(v);
+  for (size_t j = 0; j < m_; ++j) {
+    for (size_t i = 0; i < t_; ++i) writer.WriteU64(at(j, i));
+  }
   return writer.Finish();
 }
 
@@ -30,9 +33,16 @@ Result<SignatureMatrix> SignatureMatrix::LoadFromFile(const std::string& path) {
     return Status::IoError("'" + path + "': truncated signature header");
   }
   SignatureMatrix sig(t, m);
-  for (auto& v : sig.slots_) {
-    if (!reader.ReadU64(&v)) {
-      return Status::IoError("'" + path + "': truncated signature payload");
+  for (size_t j = 0; j < m; ++j) {
+    for (size_t i = 0; i < t; ++i) {
+      uint64_t v = 0;
+      if (!reader.ReadU64(&v)) {
+        return Status::IoError("'" + path + "': truncated signature payload");
+      }
+      if (!sig.Store(j, i, v)) {
+        return Status::IoError("'" + path + "': signature slot value " + std::to_string(v) +
+                               " is out of range");
+      }
     }
   }
   SKYDIVER_RETURN_NOT_OK(reader.VerifyChecksum());
@@ -51,10 +61,27 @@ MinHashFamily MinHashFamily::Create(size_t t, uint64_t universe, uint64_t seed) 
     family.a_[i] = 1 + rng.NextBounded(family.prime_ - 1);
     family.b_[i] = rng.NextBounded(family.prime_);
   }
+  if (family.fits_slots()) {
+    family.step_.resize(t);
+    family.wrap_.resize(t);
+    for (size_t i = 0; i < t; ++i) {
+      family.step_[i] = static_cast<uint32_t>(family.a_[i]);
+      family.wrap_[i] = static_cast<uint32_t>(family.prime_ - family.a_[i]);
+    }
+  }
   return family;
 }
 
-double SlotAgreementSimilarity(std::span<const uint64_t> a, std::span<const uint64_t> b) {
+Status ValidateSignatureFamily(const MinHashFamily& family) {
+  if (family.fits_slots()) return Status::OK();
+  return Status::InvalidArgument("hash family prime " + std::to_string(family.prime()) +
+                                 " exceeds 2^32: signature slots hold 32-bit values");
+}
+
+namespace {
+
+template <typename Slot>
+double AgreementOf(std::span<const Slot> a, std::span<const Slot> b) {
   SKYDIVER_DCHECK_EQ(a.size(), b.size());
   if (a.empty()) return 0.0;
   size_t agree = 0;
@@ -64,10 +91,20 @@ double SlotAgreementSimilarity(std::span<const uint64_t> a, std::span<const uint
   return static_cast<double>(agree) / static_cast<double>(a.size());
 }
 
+}  // namespace
+
+double SlotAgreementSimilarity(std::span<const uint64_t> a, std::span<const uint64_t> b) {
+  return AgreementOf(a, b);
+}
+
+double SlotAgreementSimilarity(std::span<const uint32_t> a, std::span<const uint32_t> b) {
+  return AgreementOf(a, b);
+}
+
 double SignatureMatrix::EstimatedSimilarity(size_t c1, size_t c2) const {
   SKYDIVER_DCHECK(c1 < m_ && c2 < m_);
-  return SlotAgreementSimilarity({slots_.data() + c1 * t_, t_},
-                                 {slots_.data() + c2 * t_, t_});
+  // Stored slots compare equal exactly when their widened values do.
+  return SlotAgreementSimilarity(column(c1), column(c2));
 }
 
 size_t RecommendedSignatureSize(double epsilon, double beta, double delta) {

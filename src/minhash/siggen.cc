@@ -6,6 +6,7 @@
 
 #include "core/dominance.h"
 #include "kernels/tile_view.h"
+#include "minhash/ib_accumulator.h"
 #include "rtree/disk_rtree.h"
 
 namespace skydiver {
@@ -21,6 +22,7 @@ Status ValidateInputs(const DataSet& data, const std::vector<RowId>& skyline,
   if (family.prime() <= data.size()) {
     return Status::InvalidArgument("hash family prime must exceed the dataset size");
   }
+  SKYDIVER_RETURN_NOT_OK(ValidateSignatureFamily(family));
   for (RowId s : skyline) {
     if (s >= data.size()) {
       return Status::InvalidArgument("skyline row " + std::to_string(s) +
@@ -57,7 +59,7 @@ Result<SigGenResult> SigGenIF(const DataSet& data, const std::vector<RowId>& sky
   // Hash values of the current row, computed once and min-merged into every
   // dominating column (equivalent to the paper's per-column UpdateMatrix,
   // which re-evaluates the same t hashes).
-  std::vector<uint64_t> row_hash(t);
+  std::vector<uint32_t> row_hash(t);
   if (IsBatched(kernel)) {
     // The skyline columns live in column-major tiles; each tile id holds
     // the signature-column index j, so mask bits map straight back to
@@ -81,10 +83,10 @@ Result<SigGenResult> SigGenIF(const DataSet& data, const std::vector<RowId>& sky
           const size_t j = tile.id(static_cast<size_t>(bit));
           ++out.domination_scores[j];
           if (!hashed) {
-            for (size_t i = 0; i < t; ++i) row_hash[i] = family.Apply(i, r);
+            family.HashRow(r, row_hash.data());
             hashed = true;
           }
-          for (size_t i = 0; i < t; ++i) out.signatures.UpdateMin(j, i, row_hash[i]);
+          out.signatures.MergeMin(j, row_hash.data());
         }
       }
     }
@@ -97,10 +99,10 @@ Result<SigGenResult> SigGenIF(const DataSet& data, const std::vector<RowId>& sky
         if (!Dominates(data.row(skyline[j]), point)) continue;
         ++out.domination_scores[j];
         if (!hashed) {
-          for (size_t i = 0; i < t; ++i) row_hash[i] = family.Apply(i, r);
+          family.HashRow(r, row_hash.data());
           hashed = true;
         }
-        for (size_t i = 0; i < t; ++i) out.signatures.UpdateMin(j, i, row_hash[i]);
+        out.signatures.MergeMin(j, row_hash.data());
       }
     }
   }
@@ -119,7 +121,8 @@ namespace {
 // dims / size / io_stats (RTree and DiskRTree).
 template <typename Tree>
 Result<SigGenResult> SigGenIBImpl(const DataSet& data, const std::vector<RowId>& skyline,
-                                  const MinHashFamily& family, const Tree& tree) {
+                                  const MinHashFamily& family, const Tree& tree,
+                                  DomKernel kernel) {
   SKYDIVER_RETURN_NOT_OK(ValidateInputs(data, skyline, family));
   if (tree.dims() != data.dims() || tree.size() != data.size()) {
     return Status::InvalidArgument("R-tree does not index the given dataset");
@@ -136,43 +139,12 @@ Result<SigGenResult> SigGenIBImpl(const DataSet& data, const std::vector<RowId>&
   // Skyline coordinates, resolved once.
   std::vector<std::span<const Coord>> sky(m);
   for (size_t j = 0; j < m; ++j) sky[j] = data.row(skyline[j]);
+  IbAccumulator acc(sky, family, kernel, &out.signatures, &out.domination_scores);
 
   // Row-id counter: the traversal assigns consecutive ids to data points in
   // visit order. MinHash only needs *distinct* ids under a random
   // permutation, so the enumeration order is free (paper Fig. 4, rowcount).
   uint64_t rowcount = 0;
-
-  // Scratch: per-hash minimum over the id range of a bulk update.
-  std::vector<uint64_t> range_min(t);
-  std::vector<size_t> full;  // columns fully dominating the current entry
-
-  // Applies `count` consecutive row ids to all columns in `full`. The
-  // per-range hash minima are shared across columns (all dominators see the
-  // same id range), turning the paper's count x |full| x t loop into
-  // count x t + |full| x t.
-  auto update_full_dominance = [&](uint64_t count) {
-    if (full.empty() || count == 0) {
-      rowcount += count;
-      return;
-    }
-    for (size_t i = 0; i < t; ++i) {
-      const uint64_t step = family.StepOf(i);
-      const uint64_t prime = family.prime();
-      uint64_t v = family.Apply(i, rowcount);
-      uint64_t mn = v;
-      for (uint64_t c = 1; c < count; ++c) {
-        v += step;
-        if (v >= prime) v -= prime;
-        if (v < mn) mn = v;
-      }
-      range_min[i] = mn;
-    }
-    for (size_t j : full) {
-      out.domination_scores[j] += count;
-      for (size_t i = 0; i < t; ++i) out.signatures.UpdateMin(j, i, range_min[i]);
-    }
-    rowcount += count;
-  };
 
   // Each queued subtree carries its dominance context: `full` holds the
   // skyline columns already known to dominate the whole subtree (inherited
@@ -194,6 +166,7 @@ Result<SigGenResult> SigGenIBImpl(const DataSet& data, const std::vector<RowId>&
     for (size_t j = 0; j < m; ++j) root.candidates[j] = j;
     queue.push_back(std::move(root));
   }
+  std::vector<size_t> full;     // scratch: columns fully dominating an entry
   std::vector<size_t> partial;  // scratch: candidate set for a child task
   while (!queue.empty()) {
     Task task = std::move(queue.front());
@@ -203,17 +176,14 @@ Result<SigGenResult> SigGenIBImpl(const DataSet& data, const std::vector<RowId>&
     decltype(auto) ref = tree.ReadNode(task.page);
     if (!RefOk(ref)) return RefStatus(ref);
     const RTreeNode& node = NodeOf(ref);
+    if (node.is_leaf) {
+      // Leaf entries are data points: their dominators are the inherited
+      // full set plus every candidate that dominates the point itself.
+      acc.AddLeaf(node, rowcount, task.full, task.candidates);
+      rowcount += node.entries.size();
+      continue;
+    }
     for (const auto& e : node.entries) {
-      if (node.is_leaf) {
-        // Leaf entry = data point. Its dominators are the inherited full
-        // set plus every candidate that dominates the point itself.
-        full = task.full;
-        for (size_t j : task.candidates) {
-          if (Dominates(sky[j], e.mbr.lo())) full.push_back(j);
-        }
-        update_full_dominance(1);
-        continue;
-      }
       full = task.full;
       partial.clear();
       for (size_t j : task.candidates) {
@@ -226,7 +196,8 @@ Result<SigGenResult> SigGenIBImpl(const DataSet& data, const std::vector<RowId>&
       if (partial.empty()) {
         // Exclusively full (or no) dominance: bulk-update without reading
         // the subtree — the aggregate count stands in for its points.
-        update_full_dominance(e.count);
+        acc.AddRange(rowcount, e.count, full);
+        rowcount += e.count;
       } else {
         queue.push_back(Task{e.child, full, partial});  // must look inside
       }
@@ -244,13 +215,15 @@ Result<SigGenResult> SigGenIBImpl(const DataSet& data, const std::vector<RowId>&
 }  // namespace
 
 Result<SigGenResult> SigGenIB(const DataSet& data, const std::vector<RowId>& skyline,
-                              const MinHashFamily& family, const RTree& tree) {
-  return SigGenIBImpl(data, skyline, family, tree);
+                              const MinHashFamily& family, const RTree& tree,
+                              DomKernel kernel) {
+  return SigGenIBImpl(data, skyline, family, tree, kernel);
 }
 
 Result<SigGenResult> SigGenIB(const DataSet& data, const std::vector<RowId>& skyline,
-                              const MinHashFamily& family, const DiskRTree& tree) {
-  return SigGenIBImpl(data, skyline, family, tree);
+                              const MinHashFamily& family, const DiskRTree& tree,
+                              DomKernel kernel) {
+  return SigGenIBImpl(data, skyline, family, tree, kernel);
 }
 
 }  // namespace skydiver

@@ -11,6 +11,14 @@
 //     dominator) update the signatures of all their dominators in bulk over
 //     `count` consecutive row ids without reading the subtree — saving both
 //     dominance checks and page I/O. Partially dominated MBRs are expanded.
+//     At the leaves, the points are classified against the remaining
+//     candidate columns under the plan's dominance kernel
+//     (minhash/ib_accumulator.h).
+//
+// Both hash a row into 32-bit slot values once, however many columns it
+// reaches, and min-merge the hashes into each dominating column with the
+// per-ISA merge kernel (kernels/min_merge.h). Both reject a hash family
+// whose prime does not fit a 32-bit slot (ValidateSignatureFamily).
 //
 // Both produce valid MinHash signatures of the dominated sets Γ(s); they
 // enumerate rows in different orders, i.e. they hash through different (but
@@ -51,23 +59,30 @@ struct SigGenResult {
 /// each data row is tested against whole tiles at a time; because the IF
 /// pass is exhaustive (no early exit), the batched run produces
 /// bit-identical signatures, scores, AND dominance counts ((n - m) * m
-/// either way). SigGen-IB's corner tests are tree-shaped, not batched, so
-/// it takes no kernel selector.
+/// either way).
 Result<SigGenResult> SigGenIF(const DataSet& data, const std::vector<RowId>& skyline,
                               const MinHashFamily& family,
                               DomKernel kernel = DomKernel::kScalar);
 
 /// Index-based generation (paper Fig. 4) over an aggregate R*-tree that
 /// indexes `data`. Uses the tree's buffer pool for I/O accounting (the
-/// pool's stats are snapshotted around the traversal).
+/// pool's stats are snapshotted around the traversal). The corner tests
+/// against inner MBRs are scalar and tree-shaped; `kernel` classifies the
+/// points of each leaf against its candidate columns — tiled once per leaf
+/// when there are at least kTileRows of them under a batched kernel. The
+/// leaf pass is exhaustive, so signatures, scores AND dominance counts are
+/// identical under every kernel. The default is the planner's.
 Result<SigGenResult> SigGenIB(const DataSet& data, const std::vector<RowId>& skyline,
-                              const MinHashFamily& family, const RTree& tree);
+                              const MinHashFamily& family, const RTree& tree,
+                              DomKernel kernel = DomKernel::kSimd);
 
 /// Same algorithm over a file-backed tree: page faults here are real
-/// preads of 4 KB pages, not simulated ones.
+/// preads of 4 KB pages, not simulated ones. Same traversal order, so the
+/// output equals the RTree overload's bit for bit.
 class DiskRTree;
 Result<SigGenResult> SigGenIB(const DataSet& data, const std::vector<RowId>& skyline,
-                              const MinHashFamily& family, const DiskRTree& tree);
+                              const MinHashFamily& family, const DiskRTree& tree,
+                              DomKernel kernel = DomKernel::kSimd);
 
 /// Number of 4 KB-style pages a sequential scan of `n` records of `dims`
 /// doubles (+ a 4-byte id) touches — the IF charge model.

@@ -8,6 +8,7 @@
 #include "common/mutex.h"
 #include "core/dominance.h"
 #include "kernels/tile_view.h"
+#include "minhash/ib_accumulator.h"
 #include "parallel/morsel.h"
 
 namespace skydiver {
@@ -124,6 +125,7 @@ Result<SigGenResult> ParallelSigGenIF(const DataSet& data,
   if (family.prime() <= data.size()) {
     return Status::InvalidArgument("hash family prime must exceed the dataset size");
   }
+  SKYDIVER_RETURN_NOT_OK(ValidateSignatureFamily(family));
   const size_t t = family.size();
   const size_t m = skyline.size();
   const RowId n = data.size();
@@ -163,7 +165,7 @@ Result<SigGenResult> ParallelSigGenIF(const DataSet& data,
   RunMorsels(pool, queue, [&](const MorselQueue::Claim& c) {
     SignatureMatrix& sig = slot_sig[c.slot];
     std::vector<uint64_t>& scores = slot_scores[c.slot];
-    std::vector<uint64_t> row_hash(t);
+    std::vector<uint32_t> row_hash(t);
     const DominanceKernel batch(kernel);
     for (uint64_t r = c.begin; r < c.end; ++r) {
       if (is_skyline[r]) continue;
@@ -178,10 +180,10 @@ Result<SigGenResult> ParallelSigGenIF(const DataSet& data,
             const size_t j = tile.id(static_cast<size_t>(bit));
             ++scores[j];
             if (!hashed) {
-              for (size_t i = 0; i < t; ++i) row_hash[i] = family.Apply(i, r);
+              family.HashRow(r, row_hash.data());
               hashed = true;
             }
-            for (size_t i = 0; i < t; ++i) sig.UpdateMin(j, i, row_hash[i]);
+            sig.MergeMin(j, row_hash.data());
           }
         }
         continue;
@@ -190,10 +192,10 @@ Result<SigGenResult> ParallelSigGenIF(const DataSet& data,
         if (!Dominates(data.row(skyline[j]), point)) continue;
         ++scores[j];
         if (!hashed) {
-          for (size_t i = 0; i < t; ++i) row_hash[i] = family.Apply(i, r);
+          family.HashRow(r, row_hash.data());
           hashed = true;
         }
-        for (size_t i = 0; i < t; ++i) sig.UpdateMin(j, i, row_hash[i]);
+        sig.MergeMin(j, row_hash.data());
       }
     }
   });
@@ -207,12 +209,8 @@ Result<SigGenResult> ParallelSigGenIF(const DataSet& data,
   out.signatures = SignatureMatrix(t, m);
   out.domination_scores.assign(m, 0);
   for (size_t s = 0; s < slots; ++s) {
-    for (size_t j = 0; j < m; ++j) {
-      out.domination_scores[j] += slot_scores[s][j];
-      for (size_t i = 0; i < t; ++i) {
-        out.signatures.UpdateMin(j, i, slot_sig[s].at(j, i));
-      }
-    }
+    for (size_t j = 0; j < m; ++j) out.domination_scores[j] += slot_scores[s][j];
+    out.signatures.MergeMin(slot_sig[s]);
   }
   const uint64_t pages = SequentialScanPages(n, data.dims(), 4096);
   out.io.page_reads = pages;
@@ -243,52 +241,20 @@ struct IbWorker {
   IbWorker(size_t t, size_t m) : signatures(t, m), scores(m, 0) {}
 };
 
-// Applies `count` consecutive row ids starting at `base` to all columns in
-// `full` of the worker's local matrix.
-void IbRangeUpdate(const MinHashFamily& family, uint64_t base, uint64_t count,
-                   const std::vector<size_t>& full, IbWorker* worker) {
-  if (full.empty() || count == 0) return;
-  const size_t t = family.size();
-  const uint64_t prime = family.prime();
-  thread_local std::vector<uint64_t> range_min;
-  range_min.resize(t);
-  for (size_t i = 0; i < t; ++i) {
-    const uint64_t step = family.StepOf(i);
-    uint64_t v = family.Apply(i, base);
-    uint64_t mn = v;
-    for (uint64_t c = 1; c < count; ++c) {
-      v += step;
-      if (v >= prime) v -= prime;
-      if (v < mn) mn = v;
-    }
-    range_min[i] = mn;
-  }
-  for (size_t j : full) {
-    worker->scores[j] += count;
-    for (size_t i = 0; i < t; ++i) worker->signatures.UpdateMin(j, i, range_min[i]);
-  }
-}
-
 // Processes one subtree recursively against the candidate columns; row-id
 // ranges come from the DFS prefix sums of the entry counts.
-void IbProcessSubtree(const DataSet& data, const std::vector<std::span<const Coord>>& sky,
-                      const MinHashFamily& family, const RTree& tree,
-                      const IbTask& task, IbWorker* worker) {
+void IbProcessSubtree(const std::vector<std::span<const Coord>>& sky, const RTree& tree,
+                      const IbTask& task, IbAccumulator& acc, IbWorker* worker) {
   const RTreeNode& node = tree.PeekNode(task.page);
   ++worker->pages_read;
+  if (node.is_leaf) {
+    acc.AddLeaf(node, task.base, task.full, task.candidates);
+    return;
+  }
   uint64_t offset = task.base;
   std::vector<size_t> full;
   std::vector<size_t> partial;
   for (const auto& e : node.entries) {
-    if (node.is_leaf) {
-      full = task.full;
-      for (size_t j : task.candidates) {
-        if (Dominates(sky[j], e.mbr.lo())) full.push_back(j);
-      }
-      IbRangeUpdate(family, offset, 1, full, worker);
-      offset += 1;
-      continue;
-    }
     full = task.full;
     partial.clear();
     for (size_t j : task.candidates) {
@@ -299,10 +265,9 @@ void IbProcessSubtree(const DataSet& data, const std::vector<std::span<const Coo
       }
     }
     if (partial.empty()) {
-      IbRangeUpdate(family, offset, e.count, full, worker);
+      acc.AddRange(offset, e.count, full);
     } else {
-      IbProcessSubtree(data, sky, family, tree,
-                       IbTask{e.child, offset, 0, full, partial}, worker);
+      IbProcessSubtree(sky, tree, IbTask{e.child, offset, 0, full, partial}, acc, worker);
     }
     offset += e.count;
   }
@@ -313,12 +278,13 @@ void IbProcessSubtree(const DataSet& data, const std::vector<std::span<const Coo
 Result<SigGenResult> ParallelSigGenIB(const DataSet& data,
                                       const std::vector<RowId>& skyline,
                                       const MinHashFamily& family, const RTree& tree,
-                                      ThreadPool& pool) {
+                                      ThreadPool& pool, DomKernel kernel) {
   if (data.empty()) return Status::InvalidArgument("dataset is empty");
   if (skyline.empty()) return Status::InvalidArgument("skyline set is empty");
   if (family.prime() <= data.size()) {
     return Status::InvalidArgument("hash family prime must exceed the dataset size");
   }
+  SKYDIVER_RETURN_NOT_OK(ValidateSignatureFamily(family));
   if (tree.dims() != data.dims() || tree.size() != data.size()) {
     return Status::InvalidArgument("R-tree does not index the given dataset");
   }
@@ -391,14 +357,15 @@ Result<SigGenResult> ParallelSigGenIB(const DataSet& data,
     const bool submitted = pool.Submit([&] {
       const size_t my_id = next_worker.fetch_add(1);
       IbWorker& worker = workers[my_id];
+      IbAccumulator acc(sky, family, kernel, &worker.signatures, &worker.scores);
       for (;;) {
         const size_t idx = next_task.fetch_add(1);
         if (idx >= tasks.size()) return;
         const IbTask& task = tasks[idx];
         if (task.page == kInvalidPageId) {
-          IbRangeUpdate(family, task.base, task.count, task.full, &worker);
+          acc.AddRange(task.base, task.count, task.full);
         } else {
-          IbProcessSubtree(data, sky, family, tree, task, &worker);
+          IbProcessSubtree(sky, tree, task, acc, &worker);
         }
       }
     });
@@ -411,12 +378,8 @@ Result<SigGenResult> ParallelSigGenIB(const DataSet& data,
   out.signatures = SignatureMatrix(t, m);
   out.domination_scores.assign(m, 0);
   for (const IbWorker& worker : workers) {
-    for (size_t j = 0; j < m; ++j) {
-      out.domination_scores[j] += worker.scores[j];
-      for (size_t i = 0; i < t; ++i) {
-        out.signatures.UpdateMin(j, i, worker.signatures.at(j, i));
-      }
-    }
+    for (size_t j = 0; j < m; ++j) out.domination_scores[j] += worker.scores[j];
+    out.signatures.MergeMin(worker.signatures);
   }
   uint64_t pages = 0;
   for (const IbWorker& worker : workers) pages += worker.pages_read;

@@ -78,11 +78,13 @@ Result<SigGenResult> ParallelSigGenIF(const DataSet& data,
 /// permutation than the serial BFS SigGenIB, so estimates agree only
 /// statistically with it. Node access bypasses the buffer pool (thread
 /// safety); the result's IoStats report the pages an accounted traversal
-/// would have read logically.
+/// would have read logically. Leaves are classified and merged by the same
+/// IbAccumulator as the serial SigGenIB, under `kernel`.
 Result<SigGenResult> ParallelSigGenIB(const DataSet& data,
                                       const std::vector<RowId>& skyline,
                                       const MinHashFamily& family, const RTree& tree,
-                                      ThreadPool& pool);
+                                      ThreadPool& pool,
+                                      DomKernel kernel = DomKernel::kSimd);
 
 /// Morsel-parallel greedy k-MMDP selection, bit-identical to the serial
 /// SelectDiverseSet (same seed, same picks, same min_pairwise, same

@@ -92,6 +92,7 @@ Result<MixedSigGenResult> MixedSigGenIF(const DataSet& data, const MixedSchema& 
   if (family.prime() <= data.size()) {
     return Status::InvalidArgument("hash family prime must exceed the dataset size");
   }
+  SKYDIVER_RETURN_NOT_OK(ValidateSignatureFamily(family));
   const size_t t = family.size();
   const size_t m = skyline.size();
   const RowId n = data.size();
@@ -103,7 +104,7 @@ Result<MixedSigGenResult> MixedSigGenIF(const DataSet& data, const MixedSchema& 
     if (s >= n) return Status::InvalidArgument("skyline row out of range");
     is_skyline[s] = true;
   }
-  std::vector<uint64_t> row_hash(t);
+  std::vector<uint32_t> row_hash(t);
   for (RowId r = 0; r < n; ++r) {
     if (is_skyline[r]) continue;
     const auto point = data.row(r);
@@ -112,10 +113,10 @@ Result<MixedSigGenResult> MixedSigGenIF(const DataSet& data, const MixedSchema& 
       if (!MixedDominates(data.row(skyline[j]), point, schema)) continue;
       ++out.domination_scores[j];
       if (!hashed) {
-        for (size_t i = 0; i < t; ++i) row_hash[i] = family.Apply(i, r);
+        family.HashRow(r, row_hash.data());
         hashed = true;
       }
-      for (size_t i = 0; i < t; ++i) out.signatures.UpdateMin(j, i, row_hash[i]);
+      out.signatures.MergeMin(j, row_hash.data());
     }
   }
   const uint64_t pages = SequentialScanPages(n, data.dims(), 4096);

@@ -1,5 +1,6 @@
 #include "skydiver/session.h"
 
+#include <string>
 #include <utility>
 
 #include "common/binio.h"
@@ -101,7 +102,10 @@ Result<SkyDiverSession> SkyDiverSession::LoadFromFile(const std::string& path) {
       if (!reader.ReadU64(&v)) {
         return Status::IoError("'" + path + "': truncated signatures");
       }
-      signatures.UpdateMin(j, i, v);
+      if (!signatures.Store(j, i, v)) {
+        return Status::IoError("'" + path + "': signature slot value " + std::to_string(v) +
+                               " is out of range");
+      }
     }
   }
   SKYDIVER_RETURN_NOT_OK(reader.VerifyChecksum());

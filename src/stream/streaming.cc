@@ -273,6 +273,7 @@ Result<StreamFingerprints> StreamingSkyDiver::ExportFingerprints() const {
   if (out.skyline.empty()) {
     return Status::InvalidArgument("stream has no skyline points to export");
   }
+  SKYDIVER_RETURN_NOT_OK(ValidateSignatureFamily(family_));
   out.seed = seed_;
   const size_t m = out.skyline.size();
   out.domination_scores.reserve(m);

@@ -128,7 +128,8 @@ class StreamingSkyDiver {
   /// skyline. The export is bit-identical to batch SigGen-IF over data()
   /// with the same hash family — the invariant the streaming tests assert
   /// — so a snapshot adopted from it answers queries exactly like one
-  /// built from scratch.
+  /// built from scratch. Fails with InvalidArgument when the stream's hash
+  /// family does not fit 32-bit signature slots (ValidateSignatureFamily).
   [[nodiscard]] Result<StreamFingerprints> ExportFingerprints() const;
 
  private:

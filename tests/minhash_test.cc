@@ -4,15 +4,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/gamma.h"
 #include "datagen/generators.h"
 #include "minhash/minhash.h"
 #include "minhash/siggen.h"
+#include "parallel/parallel_ops.h"
+#include "parallel/thread_pool.h"
+#include "poset/mixed.h"
+#include "rtree/disk_rtree.h"
 #include "rtree/rtree.h"
 #include "skyline/skyline.h"
+#include "stream/streaming.h"
 
 namespace skydiver {
 namespace {
@@ -72,7 +81,120 @@ TEST(SignatureMatrixTest, UpdateMinAndEstimate) {
 
 TEST(SignatureMatrixTest, MemoryBytes) {
   SignatureMatrix sig(100, 50);
-  EXPECT_EQ(sig.MemoryBytes(), 100u * 50u * sizeof(uint64_t));
+  EXPECT_EQ(sig.MemoryBytes(), 100u * 50u * sizeof(uint32_t));
+}
+
+TEST(SignatureMatrixTest, AccessorsWidenTheEmptyMarker) {
+  SignatureMatrix sig(3, 2);
+  EXPECT_EQ(sig.at(1, 2), kEmptySlot);
+  EXPECT_EQ(sig.column(1)[2], kEmptySlot32);
+  sig.UpdateMin(1, 2, kEmptySlot);  // min with "empty" changes nothing
+  EXPECT_EQ(sig.at(1, 2), kEmptySlot);
+  sig.UpdateMin(1, 2, kMaxSignaturePrime - 1);  // the largest hash value
+  EXPECT_EQ(sig.at(1, 2), kMaxSignaturePrime - 1);
+  const uint32_t row[3] = {7, kEmptySlot32, 9};
+  sig.MergeMin(0, row);
+  EXPECT_EQ(sig.at(0, 0), 7u);
+  EXPECT_EQ(sig.at(0, 1), kEmptySlot);
+  EXPECT_EQ(sig.at(0, 2), 9u);
+}
+
+TEST(SignatureMatrixTest, StoreRejectsValuesWithoutA32BitForm) {
+  SignatureMatrix sig(2, 1);
+  EXPECT_TRUE(sig.Store(0, 0, 0));
+  EXPECT_TRUE(sig.Store(0, 1, uint64_t{kEmptySlot32} - 1));
+  EXPECT_EQ(sig.at(0, 1), uint64_t{kEmptySlot32} - 1);
+  EXPECT_TRUE(sig.Store(0, 1, kEmptySlot));
+  EXPECT_EQ(sig.at(0, 1), kEmptySlot);
+  for (uint64_t bad : {uint64_t{kEmptySlot32}, uint64_t{1} << 32, kEmptySlot - 1}) {
+    EXPECT_FALSE(sig.Store(0, 0, bad)) << bad;
+    EXPECT_EQ(sig.at(0, 0), 0u) << "a rejected value must not be stored";
+  }
+}
+
+TEST(SignatureMatrixTest, WholeMatrixMergeIsSlotwiseMin) {
+  SignatureMatrix a(4, 3), b(4, 3);
+  for (size_t j = 0; j < 3; ++j) {
+    for (size_t i = 0; i < 4; ++i) {
+      if ((i + j) % 3 != 0) a.UpdateMin(j, i, 10 * j + i);
+      if ((i + j) % 2 != 0) b.UpdateMin(j, i, 10 * j + 5 - i);
+    }
+  }
+  SignatureMatrix merged = a;
+  merged.MergeMin(b);
+  for (size_t j = 0; j < 3; ++j) {
+    for (size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(merged.at(j, i), std::min(a.at(j, i), b.at(j, i))) << j << "," << i;
+    }
+  }
+}
+
+// --------------------------------------------------------------------------
+// The 64-bit reduction in MinHashFamily::Apply against a 128-bit reference.
+// --------------------------------------------------------------------------
+
+uint64_t ReferenceHash(const MinHashFamily& family, size_t i, uint64_t x) {
+  const __uint128_t v = static_cast<__uint128_t>(family.StepOf(i)) * x + family.OffsetOf(i);
+  return static_cast<uint64_t>(v % family.prime());
+}
+
+void ExpectMatchesReference(const MinHashFamily& family, const std::vector<uint64_t>& xs) {
+  for (size_t i = 0; i < family.size(); ++i) {
+    ASSERT_LT(family.StepOf(i), family.prime());
+    ASSERT_LT(family.OffsetOf(i), family.prime());
+    for (uint64_t x : xs) {
+      ASSERT_EQ(family.Apply(i, x), ReferenceHash(family, i, x))
+          << "P = " << family.prime() << ", i = " << i << ", x = " << x;
+    }
+  }
+}
+
+TEST(MinHashFamilyTest, SixtyFourBitPathMatches128BitReferenceBelow2To32) {
+  // universe 4294967000: P is one of the primes just below 2^32, where
+  // a·x + b comes closest to overflowing 64 bits.
+  for (uint64_t seed : {1, 2, 3}) {
+    const auto family = MinHashFamily::Create(64, 4294967000u, seed);
+    ASSERT_TRUE(family.fits_slots());
+    ASSERT_GT(family.prime(), 4294967000u);
+    ASSERT_LE(family.prime(), kMaxSignaturePrime);
+    const uint64_t p = family.prime();
+    std::vector<uint64_t> xs = {0, 1, p - 2, p - 1};
+    Rng rng(seed * 17);
+    for (int k = 0; k < 200; ++k) xs.push_back(rng.NextBounded(p));
+    ExpectMatchesReference(family, xs);
+    // HashRow / StepRow walk the same values as Apply.
+    std::vector<uint32_t> row(family.size());
+    family.HashRow(p - 3, row.data());
+    for (uint64_t x = p - 3; x < p; ++x) {
+      for (size_t i = 0; i < family.size(); ++i) ASSERT_EQ(row[i], family.Apply(i, x));
+      family.StepRow(row.data());
+    }
+    // Past P - 1 the row wraps to h(P) = h(0) = b.
+    for (size_t i = 0; i < family.size(); ++i) ASSERT_EQ(row[i], family.OffsetOf(i));
+  }
+}
+
+TEST(MinHashFamilyTest, WideFallbackMatches128BitReferenceAbove2To32) {
+  const auto family = MinHashFamily::Create(32, uint64_t{1} << 40, 7);
+  ASSERT_FALSE(family.fits_slots());
+  ASSERT_GT(family.prime(), uint64_t{1} << 40);
+  const uint64_t p = family.prime();
+  std::vector<uint64_t> xs = {0, 1, (uint64_t{1} << 32) - 1, uint64_t{1} << 32, p - 2, p - 1};
+  Rng rng(11);
+  for (int k = 0; k < 200; ++k) xs.push_back(rng.NextBounded(p));
+  ExpectMatchesReference(family, xs);
+  EXPECT_TRUE(ValidateSignatureFamily(family).IsInvalidArgument());
+}
+
+TEST(MinHashFamilyTest, SmallPrimeWithWideRowIdsUsesTheExactPath) {
+  // x >= 2^32 with a small P must not take the 64-bit product.
+  const auto family = MinHashFamily::Create(16, 1000, 5);
+  ExpectMatchesReference(family, {uint64_t{1} << 32, (uint64_t{1} << 40) + 3, kEmptySlot});
+  std::vector<uint32_t> row(family.size());
+  family.HashRow(uint64_t{1} << 33, row.data());
+  for (size_t i = 0; i < family.size(); ++i) {
+    EXPECT_EQ(row[i], ReferenceHash(family, i, uint64_t{1} << 33));
+  }
 }
 
 TEST(SignatureMatrixTest, RecommendedSizeGrowsWithTighterError) {
@@ -253,6 +375,47 @@ TEST(SigGenTest, IbRejectsForeignTree) {
   ASSERT_TRUE(tree.ok());
   const auto family = MinHashFamily::Create(10, f.data.size(), 6);
   EXPECT_TRUE(SigGenIB(f.data, f.skyline, family, *tree).status().IsInvalidArgument());
+}
+
+TEST(SigGenTest, EveryProducerRejectsAFamilyWiderThanASlot) {
+  // A huge universe over tiny data: P > 2^32, so some hash values have no
+  // 32-bit slot form. Every SignatureMatrix producer refuses the family
+  // up front instead of narrowing its values.
+  const auto f = SigGenFixture::Make(WorkloadKind::kIndependent, 300, 3, 29);
+  const auto wide = MinHashFamily::Create(8, uint64_t{1} << 33, 31);
+  ASSERT_GT(wide.prime(), uint64_t{1} << 32);
+  EXPECT_TRUE(ValidateSignatureFamily(wide).IsInvalidArgument());
+
+  EXPECT_TRUE(SigGenIF(f.data, f.skyline, wide).status().IsInvalidArgument());
+  EXPECT_TRUE(SigGenIF(f.data, f.skyline, wide, DomKernel::kSimd).status().IsInvalidArgument());
+  auto tree = RTree::BulkLoad(f.data);
+  ASSERT_TRUE(tree.ok());
+  EXPECT_TRUE(SigGenIB(f.data, f.skyline, wide, *tree).status().IsInvalidArgument());
+  const std::string path = testing::TempDir() + "/wide_family.pages";
+  ASSERT_TRUE(DiskRTree::Write(*tree, path).ok());
+  auto disk = DiskRTree::Open(path);
+  ASSERT_TRUE(disk.ok());
+  EXPECT_TRUE(SigGenIB(f.data, f.skyline, wide, *disk).status().IsInvalidArgument());
+  std::remove(path.c_str());
+
+  ThreadPool pool(2);
+  EXPECT_TRUE(ParallelSigGenIF(f.data, f.skyline, wide, pool).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      ParallelSigGenIB(f.data, f.skyline, wide, *tree, pool).status().IsInvalidArgument());
+
+  const MixedSchema schema(f.data.dims());  // all numeric
+  EXPECT_TRUE(MixedSigGenIF(f.data, schema, f.skyline, wide).status().IsInvalidArgument());
+
+  StreamingSkyDiver stream(3, 8, 31, uint64_t{1} << 33);
+  ASSERT_TRUE(stream.Insert({0.5, 0.5, 0.5}).ok());
+  ASSERT_TRUE(stream.Insert({0.7, 0.6, 0.9}).ok());
+  EXPECT_TRUE(stream.ExportFingerprints().status().IsInvalidArgument());
+
+  // The largest prime that fits is accepted.
+  const auto widest = MinHashFamily::Create(8, kMaxSignaturePrime - 1, 31);
+  EXPECT_EQ(widest.prime(), kMaxSignaturePrime);
+  EXPECT_TRUE(ValidateSignatureFamily(widest).ok());
+  EXPECT_TRUE(SigGenIF(f.data, f.skyline, widest).ok());
 }
 
 }  // namespace

@@ -190,9 +190,10 @@ TEST(LshPropertyTest, EmpiricalCollisionRateTracksFormula) {
     for (int trial = 0; trial < trials; ++trial) {
       SignatureMatrix sig(t, 2);
       for (size_t i = 0; i < t; ++i) {
-        const uint64_t v = rng.Next() >> 16;
+        // Random hash values: below 2^31, inside the 32-bit slot range.
+        const uint64_t v = rng.Next() >> 33;
         sig.UpdateMin(0, i, v);
-        sig.UpdateMin(1, i, rng.NextDouble() < s ? v : (rng.Next() >> 16));
+        sig.UpdateMin(1, i, rng.NextDouble() < s ? v : (rng.Next() >> 33));
       }
       auto index = LshIndex::Build(sig, params, rng.Next());
       ASSERT_TRUE(index.ok());

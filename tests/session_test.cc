@@ -7,8 +7,11 @@
 #include <cstdio>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "common/binio.h"
 #include "datagen/generators.h"
+#include "minhash/minhash.h"
 #include "rtree/rtree.h"
 #include "skydiver/advisor.h"
 #include "skydiver/profile.h"
@@ -99,6 +102,36 @@ TEST(SessionTest, Validation) {
   EXPECT_TRUE(session->SelectMinHash(10000).status().IsInvalidArgument());
   EXPECT_TRUE(
       SkyDiverSession::LoadFromFile("/nonexistent/ses.skyd").status().IsIoError());
+}
+
+TEST(SessionTest, OutOfRangeSignatureSlotIsIoError) {
+  // SKYDSES1 stores slots as u64. A value that is neither kEmptySlot nor
+  // below 2^32 - 1 cannot come from a real hash family; the loader fails
+  // with IoError instead of narrowing it into a 32-bit slot.
+  const char magic[8] = {'S', 'K', 'Y', 'D', 'S', 'E', 'S', '1'};
+  const std::string path = testing::TempDir() + "/session_range.skyd";
+  auto write = [&](uint64_t last_slot) {
+    BinaryWriter writer(path, magic);
+    writer.WriteU64(7);  // seed
+    writer.WriteU64(2);  // m
+    writer.WriteU32(0);
+    writer.WriteU32(1);
+    writer.WriteU64(3);  // scores
+    writer.WriteU64(4);
+    writer.WriteU64(2);  // t
+    for (uint64_t v : {uint64_t{10}, kEmptySlot, uint64_t{11}, last_slot}) writer.WriteU64(v);
+    return writer.Finish();
+  };
+  ASSERT_TRUE(write(12).ok());
+  auto loaded = SkyDiverSession::LoadFromFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->domination_scores(), (std::vector<uint64_t>{3, 4}));
+  for (uint64_t bad : {uint64_t{kEmptySlot32}, uint64_t{1} << 32, kEmptySlot - 1}) {
+    ASSERT_TRUE(write(bad).ok());
+    const auto rejected = SkyDiverSession::LoadFromFile(path);
+    EXPECT_TRUE(rejected.status().IsIoError()) << bad << ": " << rejected.status().ToString();
+  }
+  std::remove(path.c_str());
 }
 
 // --------------------------------------------------------------------------

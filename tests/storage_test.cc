@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/binio.h"
 #include "core/dataset_io.h"
@@ -236,6 +237,55 @@ TEST(SignatureIoTest, RejectsForeignFiles) {
   const DataSet data = GenerateIndependent(100, 2, 101);
   ASSERT_TRUE(SaveDataSet(data, path).ok());  // a SKYDDAT1 file, not SKYDSIG1
   EXPECT_TRUE(SignatureMatrix::LoadFromFile(path).status().IsInvalidArgument());
+  std::remove(path.c_str());
+}
+
+TEST(SignatureIoTest, OutOfRangeSlotIsIoErrorNotNarrowed) {
+  // SKYDSIG1 holds 64-bit slots. A slot is either kEmptySlot or a hash
+  // value below 2^32 - 1; anything else has no 32-bit form, so the loader
+  // must fail rather than truncate it.
+  const char magic[8] = {'S', 'K', 'Y', 'D', 'S', 'I', 'G', '1'};
+  auto write = [&](const std::string& path, uint64_t second_slot) {
+    BinaryWriter writer(path, magic);
+    writer.WriteU64(2);  // t
+    writer.WriteU64(1);  // m
+    writer.WriteU64(5);
+    writer.WriteU64(second_slot);
+    return writer.Finish();
+  };
+  const std::string path = TempPath("signatures_range.skyd");
+  ASSERT_TRUE(write(path, kEmptySlot).ok());
+  auto ok = SignatureMatrix::LoadFromFile(path);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->at(0, 0), 5u);
+  EXPECT_EQ(ok->at(0, 1), kEmptySlot);
+  for (uint64_t bad : {uint64_t{kEmptySlot32}, uint64_t{1} << 32, (uint64_t{1} << 32) + 5,
+                       kEmptySlot - 1}) {
+    ASSERT_TRUE(write(path, bad).ok());
+    const auto loaded = SignatureMatrix::LoadFromFile(path);
+    EXPECT_TRUE(loaded.status().IsIoError()) << bad << ": " << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SignatureIoTest, SavedBytesKeepThe64BitLayout) {
+  // The saver widens each slot, so a file written from 32-bit slots is
+  // byte-for-byte the 64-bit format: header, then t*m u64 values with the
+  // empty marker as kEmptySlot.
+  SignatureMatrix sig(2, 2);
+  sig.UpdateMin(0, 0, 42);
+  sig.UpdateMin(1, 1, kMaxSignaturePrime - 1);
+  const std::string path = TempPath("signatures_layout.skyd");
+  ASSERT_TRUE(sig.SaveToFile(path).ok());
+  const char magic[8] = {'S', 'K', 'Y', 'D', 'S', 'I', 'G', '1'};
+  BinaryReader reader(path, magic);
+  ASSERT_TRUE(reader.status().ok());
+  uint64_t v = 0;
+  std::vector<uint64_t> values;
+  while (values.size() < 6 && reader.ReadU64(&v)) values.push_back(v);
+  EXPECT_EQ(values, (std::vector<uint64_t>{2, 2, 42, kEmptySlot, kEmptySlot,
+                                           kMaxSignaturePrime - 1}));
+  EXPECT_TRUE(reader.VerifyChecksum().ok());
   std::remove(path.c_str());
 }
 

@@ -6,6 +6,7 @@
 #include <cctype>
 #include <regex>
 #include <set>
+#include <utility>
 
 #include "skylint.h"
 
@@ -466,7 +467,12 @@ void CheckIncludeHygiene(const SourceFile& file, const LintContext& context,
         first_include = m[1].str();
         first_line = i + 1;
       } else if (std::regex_search(file.raw[i], m, kSystemIncludeRe)) {
-        first_include = "<" + m[1].str() + ">";
+        // Appended piecewise: GCC 12 raises a false -Werror=restrict on the
+        // std::string::insert that "<" + str inlines in Release builds.
+        std::string s = "<";
+        s += m[1].str();
+        s += '>';
+        first_include = std::move(s);
         first_line = i + 1;
       }
     }
