@@ -6,6 +6,7 @@
 #include "diversify/brute_force.h"
 #include "diversify/dispersion.h"
 #include "diversify/simple_greedy.h"
+#include "engine/snapshot.h"
 #include "lsh/lsh.h"
 #include "minhash/minhash.h"
 #include "minhash/siggen.h"
@@ -103,11 +104,9 @@ AlgoResult RunMH(const DataSet& data, const std::vector<RowId>& skyline, size_t 
   if (k > skyline.size()) return out;
   Fingerprint fp = MakeFingerprint(data, skyline, signature_size, tree, seed);
   CpuTimer cpu;
-  auto distance = [&](size_t a, size_t b) {
-    return fp.signatures.EstimatedDistance(a, b);
-  };
-  auto score = [&](size_t j) { return static_cast<double>(fp.scores[j]); };
-  auto result = SelectDiverseSet(skyline.size(), k, distance, score).value();
+  auto result = SelectDiverseSet(skyline.size(), k, fp.signatures.Distances(), fp.scores,
+                                 /*pool=*/nullptr)
+                    .value();
   out.cpu_seconds = fp.cpu_seconds + cpu.ElapsedSeconds();
   out.total_seconds = kCost.TotalSeconds(out.cpu_seconds, fp.io);
   out.selected = std::move(result.selected);
@@ -124,10 +123,12 @@ AlgoResult RunLSH(const DataSet& data, const std::vector<RowId>& skyline, size_t
   Fingerprint fp = MakeFingerprint(data, skyline, signature_size, tree, seed);
   CpuTimer cpu;
   const auto params = ChooseZones(signature_size, threshold, buckets).value();
-  const auto index = LshIndex::Build(fp.signatures, params, seed ^ 0xdecaf).value();
-  auto distance = [&](size_t a, size_t b) { return index.Distance(a, b); };
-  auto score = [&](size_t j) { return static_cast<double>(fp.scores[j]); };
-  auto result = SelectDiverseSet(skyline.size(), k, distance, score).value();
+  // Salted as the library salts an unshaped run (engine/snapshot.h).
+  const auto index =
+      LshIndex::Build(fp.signatures, params, BandingSeed(seed, params, SkyQuery{})).value();
+  auto result =
+      SelectDiverseSet(skyline.size(), k, index.Distances(), fp.scores, /*pool=*/nullptr)
+          .value();
   out.cpu_seconds = fp.cpu_seconds + cpu.ElapsedSeconds();
   out.total_seconds = kCost.TotalSeconds(out.cpu_seconds, fp.io);
   out.selected = std::move(result.selected);

@@ -27,6 +27,13 @@
 // unit of the summed domination scores — per unit, "ns per pair", the
 // figure perfbench reports as minhash.ns_per_pair.
 //
+// Two Phase-2 rows follow. `select_row` times the greedy's distance row
+// (kernels/agree_row.h) on every backend the host can run — one distance
+// per unit, "ns per distance" — for MinHash at t = 100 and LSH at ζ = 50,
+// beside the per-pair baseline the greedy used before: a std::function
+// call per pair into SignatureMatrix::EstimatedDistance (MinHash) or into
+// the Hamming distance of two ζ·B-bit BitVectors (LSH).
+//
 // Every JSON record carries its unit, its count and the spread of its
 // repetitions; the file carries the host facts (cores, ISA, merge backend,
 // compiler, build type) and the repetition count.
@@ -45,19 +52,26 @@
 // to BENCH_bbs.json.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <functional>
 #include <fstream>
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
+#include "common/bitvector.h"
 #include "common/cpu.h"
+#include "common/rng.h"
 #include "common/timer.h"
 #include "core/dominance.h"
+#include "kernels/agree_row.h"
 #include "kernels/min_merge.h"
 #include "kernels/tile_view.h"
+#include "lsh/lsh.h"
 #include "minhash/siggen.h"
 #include "rtree/node_corners.h"
 #include "rtree/rtree.h"
@@ -171,6 +185,56 @@ Timing TimeMergeMin(kernel_internal::MergeMinFn fn, size_t columns, size_t merge
   uint64_t h = 0;
   for (uint32_t v : matrix) h = h * 31 + v;
   *digest = h;
+  return timing;
+}
+
+// Distance-row micro: `rounds` greedy rounds over m columns, each a row of
+// m distances against a changing pivot. The lanes are drawn from a small
+// alphabet so about a quarter of them agree, as near-duplicate
+// fingerprints do. `digest` sums the agreements for the cross-backend
+// identity check.
+struct RowWorkload {
+  size_t width = 0;
+  size_t columns = 0;
+  std::vector<uint32_t> lanes;  // column-major, column j at j * width
+};
+
+RowWorkload MakeRowWorkload(size_t width, size_t columns, uint64_t seed) {
+  RowWorkload w{width, columns, std::vector<uint32_t>(width * columns)};
+  Rng rng(seed);
+  for (auto& v : w.lanes) v = static_cast<uint32_t>(rng.NextBounded(4));
+  return w;
+}
+
+Timing TimeAgreeRow(kernel_internal::AgreeRowFn fn, const RowWorkload& w, size_t rounds,
+                    uint64_t* digest) {
+  std::vector<uint32_t> agree(w.columns);
+  uint64_t sum = 0;
+  const Timing timing = BestOf([&] {
+    sum = 0;
+    for (size_t r = 0; r < rounds; ++r) {
+      const uint32_t* pivot = w.lanes.data() + (r * 7919 % w.columns) * w.width;
+      fn(pivot, w.lanes.data(), w.width, w.columns, nullptr, agree.data());
+      for (uint32_t a : agree) sum += a;
+    }
+  });
+  *digest = sum;
+  return timing;
+}
+
+// The per-pair baseline: one std::function call per distance, as the
+// greedy made before it took rows.
+Timing TimePerPair(const std::function<double(size_t, size_t)>& distance, size_t columns,
+                   size_t rounds, double* digest) {
+  double sum = 0.0;
+  const Timing timing = BestOf([&] {
+    sum = 0.0;
+    for (size_t r = 0; r < rounds; ++r) {
+      const size_t pivot = r * 7919 % columns;
+      for (size_t j = 0; j < columns; ++j) sum += distance(j, pivot);
+    }
+  });
+  *digest = sum;
   return timing;
 }
 
@@ -434,6 +498,77 @@ int Run(int argc, char** argv) {
     shape.Check("SigGen-IB pairs and dominance checks identical across flavours",
                 pairs[0] == pairs[1] && pairs[1] == pairs[2] && checks[0] == checks[1] &&
                     checks[1] == checks[2]);
+  }
+  {
+    // Distance rows of the Phase-2 greedy: MinHash slots (t = 100) and LSH
+    // bucket ids (ζ = 50, B = 20) over m = 4096 columns, per backend and
+    // against the per-pair baseline.
+    std::printf("\nDistance rows (m = 4096): agreement kernel vs per-pair calls\n");
+    TablePrinter row_table({"space", "width", "flavour", "count", "best_s", "ns_per_unit"});
+    struct Backend {
+      const char* name;
+      kernel_internal::AgreeRowFn fn;
+    };
+    std::vector<Backend> backends = {{"portable", kernel_internal::PortableAgreeRow()}};
+    if (ProbeSimdIsa() == SimdIsa::kAvx2 && kernel_internal::Avx2AgreeRow() != nullptr) {
+      backends.push_back({"avx2", kernel_internal::Avx2AgreeRow()});
+    }
+    const size_t columns = 4096;
+    const auto rounds = static_cast<size_t>(std::max(1.0, 200 / std::max(1.0, env.scale())));
+    const uint64_t count = static_cast<uint64_t>(rounds) * columns;
+    auto add = [&](const char* space, size_t width, const char* flavour, const Timing& t) {
+      records.push_back({space, static_cast<Dim>(width), flavour, "select_row", t, count,
+                         "distance"});
+      row_table.Row({space, TablePrinter::Int(width), flavour, TablePrinter::Int(count),
+                     TablePrinter::Secs(t.best),
+                     TablePrinter::Num(t.best * 1e9 / static_cast<double>(count), 2)});
+    };
+    for (const auto& [space, width] : {std::pair<const char*, size_t>{"MH", 100},
+                                       std::pair<const char*, size_t>{"LSH", 50}}) {
+      const RowWorkload w = MakeRowWorkload(width, columns, env.seed() + width);
+      std::vector<uint64_t> digests;
+      for (const Backend& b : backends) {
+        uint64_t digest = 0;
+        add(space, width, b.name, TimeAgreeRow(b.fn, w, rounds, &digest));
+        digests.push_back(digest);
+      }
+      shape.Check(std::string(space) + " row backends count identical agreements",
+                  std::all_of(digests.begin(), digests.end(),
+                              [&](uint64_t d) { return d == digests[0]; }));
+      // Per-pair baseline over the same lanes, in the representation the
+      // greedy read before rows: signature slots, or ζ·B-bit vectors.
+      double pair_digest = 0.0;
+      Timing pair;
+      if (width == 100) {
+        SignatureMatrix sig(width, columns);
+        for (size_t j = 0; j < columns; ++j) {
+          for (size_t l = 0; l < width; ++l) {
+            sig.UpdateMin(j, l, w.lanes[j * width + l]);
+          }
+        }
+        pair = TimePerPair([&sig](size_t a, size_t b) { return sig.EstimatedDistance(a, b); },
+                           columns, rounds, &pair_digest);
+        const double row_digest = static_cast<double>(count) -
+                                  static_cast<double>(digests[0]) / static_cast<double>(width);
+        shape.Check("MH per-pair distances sum like the rows",
+                    std::abs(pair_digest - row_digest) <= 1e-6 * row_digest);
+      } else {
+        const size_t buckets = 20;
+        std::vector<BitVector> vectors(columns, BitVector(width * buckets));
+        for (size_t j = 0; j < columns; ++j) {
+          for (size_t z = 0; z < width; ++z) vectors[j].Set(z * buckets + w.lanes[j * width + z]);
+        }
+        pair = TimePerPair(
+            [&vectors](size_t a, size_t b) {
+              return static_cast<double>(vectors[a].HammingDistance(vectors[b]));
+            },
+            columns, rounds, &pair_digest);
+        const double row_digest =
+            2.0 * (static_cast<double>(count * width) - static_cast<double>(digests[0]));
+        shape.Check("LSH per-pair distances sum like the rows", pair_digest == row_digest);
+      }
+      add(space, width, "per_pair", pair);
+    }
   }
   if (!json_path.empty()) WriteJson(json_path, "kernels", actual_n, records);
 

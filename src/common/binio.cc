@@ -69,17 +69,24 @@ BinaryReader::BinaryReader(const std::string& path, const char magic[8])
     status_ = Status::IoError("cannot open '" + path + "' for reading");
     return;
   }
+  in_.seekg(0, std::ios::end);
+  const std::streamoff size = in_.tellg();
+  in_.seekg(0, std::ios::beg);
+  size_ = size > 0 ? static_cast<uint64_t>(size) : 0;
   char found[8];
   in_.read(found, 8);
   if (!in_ || std::memcmp(found, magic, 8) != 0) {
     status_ = Status::InvalidArgument("'" + path + "' has the wrong magic — not a " +
                                       std::string(magic, 8) + " file");
+    return;
   }
+  position_ = 8;
 }
 
 bool BinaryReader::ReadRaw(void* data, size_t len) {
   in_.read(static_cast<char*>(data), static_cast<std::streamsize>(len));
   if (!in_) return false;
+  position_ += len;
   checksum_.Update(data, len);
   return true;
 }

@@ -72,11 +72,18 @@ class BinaryReader {
   /// Reads the trailing checksum and compares with the running digest.
   [[nodiscard]] Status VerifyChecksum();
 
+  /// Bytes between the read position and the end of the file (checksum
+  /// included). Loaders check header counts against it before sizing an
+  /// allocation from them.
+  uint64_t BytesLeft() const { return size_ - position_; }
+
  private:
   bool ReadRaw(void* data, size_t len);
   std::ifstream in_;
   Fnv1a checksum_;
   Status status_;
+  uint64_t size_ = 0;
+  uint64_t position_ = 0;
 };
 
 }  // namespace skydiver

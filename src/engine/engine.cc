@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
-#include "diversify/brute_force.h"
-#include "diversify/dispersion.h"
 #include "engine/planner.h"
+#include "engine/snapshot.h"
 #include "lsh/lsh.h"
 #include "minhash/siggen.h"
 #include "parallel/parallel_ops.h"
@@ -175,7 +175,9 @@ class FingerprintStage : public Stage {
   size_t morsel_rows_;
 };
 
-// Greedy (or exact) k-MMDP selection over the fingerprints (Phase 2).
+// Greedy (or exact) k-MMDP selection over the fingerprints (Phase 2),
+// through the selection path serving uses (SelectFromFingerprints), with
+// the LSH banding salted exactly as a snapshot of this run would salt it.
 class SelectStage : public Stage {
  public:
   SelectStage(SelectBackend backend, size_t morsel_rows)
@@ -185,51 +187,30 @@ class SelectStage : public Stage {
   Status Run(QueryContext& ctx, PipelineState& state, PhaseMetrics* metrics) override {
     (void)metrics;  // selection is CPU-only
     auto& report = state.out.report;
-    const size_t m = report.skyline.size();
     const SignatureMatrix& signatures = state.out.signatures;
+    if (backend_ == SelectBackend::kNone) return Status::OK();
 
-    // The batch path and the per-query serving path resolve selection
-    // through the same planner hook, so validation cannot drift.
-    QuerySpec spec;
-    spec.mode = state.config.select;
-    spec.k = state.config.k;
-    spec.lsh_threshold = state.config.lsh_threshold;
-    spec.lsh_buckets = state.config.lsh_buckets;
-
-    Result<DispersionResult> selection = Status::Internal("unset");
-    switch (backend_) {
-      case SelectBackend::kNone:
-        return Status::OK();
-      case SelectBackend::kMinHash: {
-        auto distance = [&](size_t a, size_t b) {
-          return signatures.EstimatedDistance(a, b);
-        };
-        selection = Select(ctx, state, m, distance);
-        break;
-      }
-      case SelectBackend::kLsh: {
-        auto plan = Planner::ResolveSelect(spec, state.config.signature_size);
-        if (!plan.ok()) return plan.status();
-        // The batch pipeline's historical banding seed. The serving path
-        // (SkySnapshot::Select) instead derives it from the full query
-        // spec via BandingSeed — see engine/snapshot.h.
-        auto built =
-            LshIndex::Build(signatures, plan.value().lsh, state.config.seed ^ 0xdecaf);
-        if (!built.ok()) return built.status();
-        const LshIndex index = std::move(built).value();
-        report.lsh_memory_bytes = index.MemoryBytes();
-        auto distance = [&](size_t a, size_t b) { return index.Distance(a, b); };
-        selection = Select(ctx, state, m, distance);
-        break;
-      }
-      case SelectBackend::kBruteForce: {
-        auto distance = [&](size_t a, size_t b) {
-          return signatures.EstimatedDistance(a, b);
-        };
-        selection = BruteForceMaxMin(m, state.config.k, distance);
-        break;
-      }
+    std::optional<LshIndex> index;
+    if (backend_ == SelectBackend::kLsh) {
+      // The batch path and the per-query serving path resolve selection
+      // through the same planner hook, so validation cannot drift.
+      QuerySpec spec;
+      spec.mode = state.config.select;
+      spec.k = state.config.k;
+      spec.lsh_threshold = state.config.lsh_threshold;
+      spec.lsh_buckets = state.config.lsh_buckets;
+      auto plan = Planner::ResolveSelect(spec, state.config.signature_size);
+      if (!plan.ok()) return plan.status();
+      const LshParams& banding = plan.value().lsh;
+      auto built = LshIndex::Build(signatures, banding,
+                                   BandingSeed(state.config.seed, banding, report.plan.query));
+      if (!built.ok()) return built.status();
+      index = std::move(built).value();
+      report.lsh_memory_bytes = index->MemoryBytes();
     }
+    auto selection = SelectFromFingerprints(
+        backend_, state.config.k, signatures, state.out.domination_scores,
+        index ? &*index : nullptr, ctx.pool(), morsel_rows_);
     if (!selection.ok()) return selection.status();
     report.selected = std::move(selection.value().selected);
     report.objective = selection.value().min_pairwise;
@@ -241,21 +222,6 @@ class SelectStage : public Stage {
   }
 
  private:
-  // Greedy k-MMDP, morsel-parallel when the runtime has a pool — the
-  // pooled argmax is bit-identical to the serial scan (parallel_ops.h),
-  // so the two paths are interchangeable per plan. The distances above
-  // are pure reads of frozen matrices, safe for concurrent evaluation.
-  Result<DispersionResult> Select(QueryContext& ctx, PipelineState& state, size_t m,
-                                  const DistanceFn& distance) const {
-    ThreadPool* pool = ctx.pool();
-    if (pool != nullptr) {
-      return ParallelSelectDiverseSet(m, state.config.k, distance,
-                                      state.out.domination_scores, *pool,
-                                      morsel_rows_);
-    }
-    return SelectDiverseSet(m, state.config.k, distance, state.out.domination_scores);
-  }
-
   SelectBackend backend_;
   size_t morsel_rows_;
 };

@@ -79,6 +79,11 @@ class QueryContext {
   /// Trace events in execution order.
   const std::vector<TraceEvent>& trace() const { return trace_; }
 
+  /// LSH indexes this query built (0 when it found its banding's index in
+  /// the snapshot's cache).
+  uint64_t lsh_index_builds() const { return lsh_index_builds_; }
+  void CountLshIndexBuild() { ++lsh_index_builds_; }
+
   /// Runs `fn` as the stage `name`: measures its CPU/wall time, stores the
   /// stage's metrics (fn fills `out->io` itself) and appends a trace event.
   /// On failure nothing is recorded and the stage's status is returned.
@@ -92,6 +97,7 @@ class QueryContext {
   IoStats io_;
   std::vector<std::pair<std::string, PhaseMetrics>> phases_;
   std::vector<TraceEvent> trace_;
+  uint64_t lsh_index_builds_ = 0;
 };
 
 }  // namespace skydiver

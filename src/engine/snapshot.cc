@@ -9,34 +9,69 @@
 #include "diversify/dispersion.h"
 #include "engine/engine.h"
 #include "engine/planner.h"
-#include "lsh/lsh.h"
-#include "parallel/parallel_ops.h"
 #include "skyline/skyline.h"
 
 namespace skydiver {
 
-uint64_t BandingSeed(uint64_t snapshot_seed, const QuerySpec& spec) {
-  // Boost-style hash mixing over the normalized spec. Normalization first:
-  // non-LSH modes must not perturb the seed through stale LSH knobs (they
-  // never draw banding salts, but the rule "equal queries, equal seeds"
-  // should hold for the spec as cached, not as typed).
-  const QuerySpec s = spec.Normalized();
-  auto mix = [](uint64_t h, uint64_t v) {
-    return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-  };
-  uint64_t h = snapshot_seed;
-  h = mix(h, static_cast<uint64_t>(s.mode));
-  h = mix(h, static_cast<uint64_t>(s.k));
-  h = mix(h, std::bit_cast<uint64_t>(s.lsh_threshold));
-  h = mix(h, static_cast<uint64_t>(s.lsh_buckets));
-  // Shaped queries fold their canonical key in; the identity query mixes
-  // nothing so historical seeds (and cached selections) are preserved.
-  if (!s.query.identity()) {
-    for (const char c : QueryKey(s.query)) {
-      h = mix(h, static_cast<uint64_t>(static_cast<unsigned char>(c)));
-    }
+namespace {
+
+// Boost-style hash mixing.
+uint64_t Mix(uint64_t h, uint64_t v) {
+  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
+// Folds a non-identity shape's canonical key in; the identity shape mixes
+// nothing, so unshaped seeds do not depend on the key's spelling.
+uint64_t MixShape(uint64_t h, const SkyQuery& shape) {
+  if (shape.identity()) return h;
+  for (const char c : QueryKey(shape)) {
+    h = Mix(h, static_cast<uint64_t>(static_cast<unsigned char>(c)));
   }
   return h;
+}
+
+}  // namespace
+
+uint64_t BandingSeed(uint64_t snapshot_seed, const LshParams& banding,
+                     const SkyQuery& shape) {
+  uint64_t h = snapshot_seed;
+  h = Mix(h, static_cast<uint64_t>(banding.zones));
+  h = Mix(h, static_cast<uint64_t>(banding.rows_per_zone));
+  h = Mix(h, static_cast<uint64_t>(banding.buckets_per_zone));
+  return MixShape(h, CanonicalShape(shape));
+}
+
+uint64_t QuerySeed(uint64_t snapshot_seed, const QuerySpec& spec) {
+  // Normalization first: non-LSH modes must not perturb the seed through
+  // stale LSH knobs — "equal queries, equal seeds" holds for the spec as
+  // cached, not as typed.
+  const QuerySpec s = spec.Normalized();
+  uint64_t h = snapshot_seed;
+  h = Mix(h, static_cast<uint64_t>(s.mode));
+  h = Mix(h, static_cast<uint64_t>(s.k));
+  h = Mix(h, std::bit_cast<uint64_t>(s.lsh_threshold));
+  h = Mix(h, static_cast<uint64_t>(s.lsh_buckets));
+  return MixShape(h, s.query);
+}
+
+Result<DispersionResult> SelectFromFingerprints(SelectBackend backend, size_t k,
+                                                const SignatureMatrix& signatures,
+                                                const std::vector<uint64_t>& scores,
+                                                const LshIndex* lsh, ThreadPool* pool,
+                                                size_t morsel_rows) {
+  const size_t m = signatures.columns();
+  switch (backend) {
+    case SelectBackend::kNone:
+      return Status::Internal("no selection backend planned");
+    case SelectBackend::kMinHash:
+      return SelectDiverseSet(m, k, signatures.Distances(), scores, pool, morsel_rows);
+    case SelectBackend::kLsh:
+      SKYDIVER_CHECK(lsh != nullptr, "LSH selection without an index");
+      return SelectDiverseSet(m, k, lsh->Distances(), scores, pool, morsel_rows);
+    case SelectBackend::kBruteForce:
+      return BruteForceMaxMin(m, k, signatures.Distances());
+  }
+  return Status::Internal("unknown selection backend");
 }
 
 Result<std::shared_ptr<const SkySnapshot>> SkySnapshot::Build(
@@ -104,8 +139,18 @@ Result<std::shared_ptr<const SkySnapshot>> SkySnapshot::Adopt(
 
 void SkySnapshot::Freeze() {
   tiles_.Freeze();
+  lsh_cache_ = std::make_unique<LshIndexCache>(signatures_.MemoryBytes());
   frozen_ = true;
 }
+
+Result<std::shared_ptr<const LshIndex>> SkySnapshot::LshIndexFor(const LshParams& banding,
+                                                                 bool* built) const {
+  SKYDIVER_CHECK(frozen_, "LshIndexFor on an unfrozen snapshot");
+  return lsh_cache_->GetOrBuild(signatures_, banding, BandingSeed(seed_, banding, query()),
+                                built);
+}
+
+size_t SkySnapshot::lsh_cache_bytes() const { return lsh_cache_->bytes(); }
 
 Result<QueryResult> SkySnapshot::Select(const QuerySpec& spec, QueryContext& ctx) const {
   auto plan = Planner::ResolveSelect(spec, signatures_.signature_size());
@@ -126,46 +171,20 @@ Result<QueryResult> SkySnapshot::Select(const QuerySpec& spec, const SelectPlan&
   QueryResult result;
   PhaseMetrics metrics;
   SKYDIVER_RETURN_NOT_OK(ctx.RunStage("select", &metrics, [&](PhaseMetrics*) -> Status {
-    // Greedy k-MMDP, morsel-parallel when the runtime has a pool; the
-    // pooled argmax is bit-identical to the serial scan (parallel_ops.h),
-    // so cached results and serial/concurrent parity are unaffected.
-    ThreadPool* pool = ctx.pool();
-    const auto greedy = [&](const DistanceFn& distance) {
-      return pool != nullptr
-                 ? ParallelSelectDiverseSet(m, spec.k, distance, scores_, *pool)
-                 : SelectDiverseSet(m, spec.k, distance, scores_);
-    };
-    Result<DispersionResult> selection = Status::Internal("unset");
-    switch (plan.backend) {
-      case SelectBackend::kNone:
-        return Status::Internal("snapshot queries always select");
-      case SelectBackend::kMinHash: {
-        auto distance = [&](size_t a, size_t b) {
-          return signatures_.EstimatedDistance(a, b);
-        };
-        selection = greedy(distance);
-        break;
-      }
-      case SelectBackend::kLsh: {
-        // Banding salts derive from (snapshot seed, full query spec) — see
-        // BandingSeed. Every thread issuing this spec builds the identical
-        // index, so concurrent answers are bit-identical to serial ones.
-        auto built = LshIndex::Build(signatures_, plan.lsh, BandingSeed(seed_, spec));
-        if (!built.ok()) return built.status();
-        const LshIndex index = std::move(built).value();
-        result.lsh_memory_bytes = index.MemoryBytes();
-        auto distance = [&](size_t a, size_t b) { return index.Distance(a, b); };
-        selection = greedy(distance);
-        break;
-      }
-      case SelectBackend::kBruteForce: {
-        auto distance = [&](size_t a, size_t b) {
-          return signatures_.EstimatedDistance(a, b);
-        };
-        selection = BruteForceMaxMin(m, spec.k, distance);
-        break;
-      }
+    // LSH reads share this snapshot's index for the resolved banding.
+    std::shared_ptr<const LshIndex> index;
+    if (plan.backend == SelectBackend::kLsh) {
+      bool built = false;
+      auto cached = LshIndexFor(plan.lsh, &built);
+      if (!cached.ok()) return cached.status();
+      index = std::move(cached).value();
+      if (built) ctx.CountLshIndexBuild();
+      result.lsh_memory_bytes = index->MemoryBytes();
     }
+    // Morsel-parallel when the runtime has a pool; bit-identical to the
+    // serial scan, so cached results and serial/concurrent parity hold.
+    auto selection = SelectFromFingerprints(plan.backend, spec.k, signatures_, scores_,
+                                            index.get(), ctx.pool());
     if (!selection.ok()) return selection.status();
     result.selected = std::move(selection.value().selected);
     result.objective = selection.value().min_pairwise;

@@ -14,14 +14,21 @@
 //     a shared_ptr<const ...>; publication happens-before any reader that
 //     obtains the pointer (shared_ptr's control block provides the
 //     ordering).
-//   * After Freeze() every member is physically const — Select() reads
-//     the skyline rows, scores, signatures and tiles but writes only into
-//     the caller's QueryContext. Concurrent Select() calls from any
-//     number of threads are safe and bit-identical to serial execution
-//     (tests/serve_test.cc proves it under TSan).
-//   * Per-query randomness (the LSH banding salts) is derived functionally
-//     from (snapshot seed, query spec) via BandingSeed — no shared Rng, no
-//     call-order dependence.
+//   * After Freeze() every Phase-1 member is physically const — Select()
+//     reads the skyline rows, scores, signatures and tiles and writes into
+//     the caller's QueryContext. The one piece of mutable state is the LSH
+//     index cache (lsh/lsh.h, LshIndexCache), which synchronizes itself:
+//     built indexes are immutable and shared by pointer, and an index is
+//     built outside the cache's lock (racing builds of one banding produce
+//     identical bits; the first insert wins).
+//     Concurrent Select() calls from any number of threads are safe and
+//     bit-identical to serial execution (tests/serve_test.cc proves it
+//     under TSan).
+//   * The LSH banding salt is derived functionally from (snapshot seed,
+//     resolved banding (ζ, r, B), query shape) via BandingSeed — no shared
+//     Rng, no call-order dependence, and no dependence on k or on the raw
+//     ξ: every spec that resolves to one banding shares one index and
+//     answers from it.
 
 #pragma once
 
@@ -35,21 +42,49 @@
 #include "common/phase_metrics.h"
 #include "common/status.h"
 #include "core/dataset.h"
+#include "diversify/dispersion.h"
 #include "engine/plan.h"
 #include "engine/planner.h"
 #include "engine/query_context.h"
 #include "engine/runtime.h"
 #include "kernels/tile_view.h"
+#include "lsh/lsh.h"
 #include "minhash/minhash.h"
 
 namespace skydiver {
 
-/// Deterministic per-query seed for the LSH banding salts: a functional
-/// mix of the snapshot's seed and every query knob (mode, k, ξ, B).
-/// Two calls with equal inputs — on any thread, in any order — derive the
-/// same banding and therefore the same picks; this is what makes LSH
-/// selections cacheable and concurrency-invariant.
-uint64_t BandingSeed(uint64_t snapshot_seed, const QuerySpec& spec);
+/// Salt of an LSH index: a functional mix of the snapshot's seed, the
+/// resolved banding (ζ, r, B) and the normalized query shape (the identity
+/// shape mixes nothing). Equal inputs — on any thread, in any order, in a
+/// batch run or a served query — derive the same buckets and therefore the
+/// same picks; specs differing only in k, or in a ξ that resolves to the
+/// same banding, share one index.
+uint64_t BandingSeed(uint64_t snapshot_seed, const LshParams& banding,
+                     const SkyQuery& shape);
+
+/// Seed for one query's QueryContext Rng: a functional mix of the
+/// snapshot's seed and the normalized spec (mode, k, ξ, B, shape).
+/// Selection draws nothing from it — banding is salted per banding plan
+/// (above) — but every context a query runs under gets a reproducible seed.
+uint64_t QuerySeed(uint64_t snapshot_seed, const QuerySpec& spec);
+
+/// Former name of QuerySeed, kept for callers that predate plan-keyed
+/// banding salts.
+inline uint64_t BandingSeed(uint64_t snapshot_seed, const QuerySpec& spec) {
+  return QuerySeed(snapshot_seed, spec);
+}
+
+/// Phase 2 over Phase-1 products — the one selection path of batch runs
+/// (the engine's select stage) and of serving (SkySnapshot::Select):
+/// greedy k-MMDP over MinHash slot agreement (kMinHash) or over the bucket
+/// matrix of `lsh` (kLsh; must then be non-null), on `pool` when non-null,
+/// or the exact search over MinHash distances (kBruteForce). The greedy is
+/// bit-identical at every thread count and morsel size.
+Result<DispersionResult> SelectFromFingerprints(SelectBackend backend, size_t k,
+                                                const SignatureMatrix& signatures,
+                                                const std::vector<uint64_t>& scores,
+                                                const LshIndex* lsh, ThreadPool* pool,
+                                                size_t morsel_rows = 0);
 
 /// One selection query's products.
 struct QueryResult {
@@ -127,6 +162,18 @@ class SkySnapshot {
   [[nodiscard]] Result<QueryResult> Select(const QuerySpec& spec, const SelectPlan& plan,
                                            QueryContext& ctx) const;
 
+  /// This snapshot's LSH index for `banding`, salted by BandingSeed(seed(),
+  /// banding, query()). Built on first use and cached: the cache holds at
+  /// most signatures().MemoryBytes() bytes of bucket matrices (an index
+  /// never holds more than its signature matrix, since ζ ≤ t), least
+  /// recently used evicted first, and it lives as long as the snapshot.
+  /// `built` (optional) reports whether this call built the index.
+  [[nodiscard]] Result<std::shared_ptr<const LshIndex>> LshIndexFor(
+      const LshParams& banding, bool* built = nullptr) const;
+
+  /// Bytes the cached LSH indexes hold.
+  size_t lsh_cache_bytes() const;
+
  private:
   SkySnapshot() : tiles_(1) {}
 
@@ -139,6 +186,8 @@ class SkySnapshot {
   uint64_t seed_ = 0;
   BuildInfo info_;
   bool frozen_ = false;
+  // Created by Freeze(), sized to the signature matrix's bytes.
+  std::unique_ptr<LshIndexCache> lsh_cache_;
 };
 
 }  // namespace skydiver

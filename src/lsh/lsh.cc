@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -75,11 +76,13 @@ Result<LshIndex> LshIndex::Build(const SignatureMatrix& signatures,
   if (params.buckets_per_zone < 2) {
     return Status::InvalidArgument("need at least 2 buckets per zone");
   }
+  if (params.buckets_per_zone > (uint64_t{1} << 32)) {
+    return Status::InvalidArgument("bucket ids are 32-bit: at most 2^32 buckets per zone");
+  }
   LshIndex index;
   index.params_ = params;
   const size_t m = signatures.columns();
-  const size_t bits = params.zones * params.buckets_per_zone;
-  index.vectors_.assign(m, BitVector(bits));
+  index.columns_ = m;
   index.buckets_.assign(m * params.zones, 0);
   // Each zone's hash chain starts from a per-zone seed, the same for every
   // column.
@@ -93,18 +96,70 @@ Result<LshIndex> LshIndex::Build(const SignatureMatrix& signatures,
       for (size_t rr = 0; rr < params.rows_per_zone; ++rr) {
         h = Mix64(h ^ signatures.at(j, z * params.rows_per_zone + rr));
       }
-      const size_t bucket = h % params.buckets_per_zone;
-      index.buckets_[j * params.zones + z] = bucket;
-      index.vectors_[j].Set(z * params.buckets_per_zone + bucket);
+      index.buckets_[j * params.zones + z] =
+          static_cast<uint32_t>(h % params.buckets_per_zone);
     }
   }
   return index;
 }
 
+BitVector LshIndex::vector(size_t j) const {
+  BitVector bits(params_.zones * params_.buckets_per_zone);
+  for (size_t z = 0; z < params_.zones; ++z) {
+    bits.Set(z * params_.buckets_per_zone + Bucket(j, z));
+  }
+  return bits;
+}
+
+double LshIndex::Distance(size_t i, size_t j) const {
+  const size_t zones = params_.zones;
+  const uint32_t* a = buckets_.data() + i * zones;
+  const uint32_t* b = buckets_.data() + j * zones;
+  size_t differ = 0;
+  for (size_t z = 0; z < zones; ++z) differ += a[z] != b[z] ? 1 : 0;
+  return static_cast<double>(2 * differ);
+}
+
+AgreementDistance LshIndex::Distances() const {
+  AgreementDistance distance;
+  distance.lanes = buckets_.data();
+  distance.width = params_.zones;
+  distance.by_agreement.resize(params_.zones + 1);
+  for (size_t a = 0; a <= params_.zones; ++a) {
+    distance.by_agreement[a] = static_cast<double>(2 * (params_.zones - a));
+  }
+  return distance;
+}
+
 size_t LshIndex::MemoryBytes() const {
-  size_t bytes = 0;
-  for (const auto& v : vectors_) bytes += v.MemoryBytes();
-  return bytes;
+  // One ζ·B-bit vector per point, in 64-bit words (BitVector's layout).
+  const size_t words = (params_.zones * params_.buckets_per_zone + 63) / 64;
+  return columns_ * words * sizeof(uint64_t);
+}
+
+Result<std::shared_ptr<const LshIndex>> LshIndexCache::GetOrBuild(
+    const SignatureMatrix& signatures, const LshParams& banding, uint64_t seed,
+    bool* built) {
+  if (built != nullptr) *built = false;
+  const Key key{banding.zones, banding.rows_per_zone, banding.buckets_per_zone};
+  {
+    MutexLock lock(mutex_);
+    if (const auto* hit = cache_.Get(key)) return *hit;
+  }
+  // Build outside the lock: readers of other bandings keep going meanwhile.
+  auto index = LshIndex::Build(signatures, banding, seed);
+  if (!index.ok()) return index.status();
+  auto shared = std::make_shared<const LshIndex>(std::move(index).value());
+  if (built != nullptr) *built = true;
+  MutexLock lock(mutex_);
+  if (const auto* raced = cache_.Get(key)) return *raced;
+  cache_.Put(key, shared, shared->ResidentBytes());
+  return shared;
+}
+
+size_t LshIndexCache::bytes() const {
+  MutexLock lock(mutex_);
+  return cache_.weight();
 }
 
 }  // namespace skydiver

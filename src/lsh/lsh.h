@@ -8,6 +8,16 @@
 // of the bit-vectors is the LSH diversity measure, and since Hamming
 // distance is a metric, the 2-approximation greedy applies unchanged.
 //
+// Representation: the index holds each point's ζ bucket ids, a flat m × ζ
+// matrix of uint32. That matrix IS the index; the paper's ζ·B-bit vector is
+// its equivalent — bit z·B + bucket(z) set for each zone z — and the two
+// agree on every distance: zones whose buckets differ are exactly the
+// zones contributing 2 to the Hamming distance, so the distance is
+// 2·(ζ − zones whose buckets agree). The greedy reads it that way off the
+// bucket matrix with the lane-agreement row kernel (kernels/agree_row.h);
+// vector(j) materializes the bit-vector on demand, and MemoryBytes()
+// reports the bit-vectors' ζ·B-bit size, the memory side of Fig. 13.
+//
 // The banding threshold ξ ≈ (1/ζ)^(1/r) is the similarity level at which
 // the collision probability 1 − (1 − s^r)^ζ crosses its sigmoid midpoint;
 // choosing ξ picks (ζ, r) and thereby trades memory for accuracy.
@@ -15,10 +25,15 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <tuple>
 #include <vector>
 
 #include "common/bitvector.h"
+#include "common/lru_cache.h"
+#include "common/mutex.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "minhash/minhash.h"
 
 namespace skydiver {
@@ -43,7 +58,7 @@ struct LshParams {
 Result<LshParams> ChooseZones(size_t signature_size, double threshold,
                               size_t buckets_per_zone = 20);
 
-/// The LSH representation of all skyline points: one ζ·B-bit vector each.
+/// The LSH representation of all skyline points: ζ zone buckets each.
 class LshIndex {
  public:
   /// Hashes every signature column into zone buckets. `seed` draws the
@@ -51,30 +66,65 @@ class LshIndex {
   static Result<LshIndex> Build(const SignatureMatrix& signatures,
                                 const LshParams& params, uint64_t seed);
 
-  size_t columns() const { return vectors_.size(); }
+  size_t columns() const { return columns_; }
   const LshParams& params() const { return params_; }
 
-  /// The bit-vector of skyline point j (ζ·B bits, ζ of them set).
-  const BitVector& vector(size_t j) const { return vectors_[j]; }
+  /// The bit-vector of skyline point j (ζ·B bits, ζ of them set), built
+  /// from its buckets.
+  BitVector vector(size_t j) const;
 
   /// Bucket index (within [0, B)) of column j in zone z.
   size_t Bucket(size_t j, size_t zone) const { return buckets_[j * params_.zones + zone]; }
 
-  /// LSH diversity: the Hamming distance between the two bit-vectors.
-  /// Equals 2 × (number of zones where the points land in different
-  /// buckets); a metric, so SelectDiverseSet keeps its guarantee.
-  double Distance(size_t i, size_t j) const {
-    return static_cast<double>(vectors_[i].HammingDistance(vectors_[j]));
-  }
+  /// LSH diversity: the Hamming distance between the two bit-vectors,
+  /// 2 × (number of zones where the points land in different buckets); a
+  /// metric, so the greedy keeps its guarantee.
+  double Distance(size_t i, size_t j) const;
 
-  /// Bytes held by the bit-vectors — the memory side of the paper's
-  /// memory-vs-accuracy trade-off (Fig. 13).
+  /// Distance() for every pair as an AgreementDistance over the bucket
+  /// matrix (2·(ζ − agree)), for the greedy's row kernel. Valid while the
+  /// index lives.
+  AgreementDistance Distances() const;
+
+  /// Bytes of the points' ζ·B-bit vectors — the memory side of the
+  /// paper's memory-vs-accuracy trade-off (Fig. 13).
   size_t MemoryBytes() const;
+
+  /// Heap bytes the index actually holds (its bucket matrix).
+  size_t ResidentBytes() const { return buckets_.size() * sizeof(uint32_t); }
 
  private:
   LshParams params_;
-  std::vector<BitVector> vectors_;
-  std::vector<size_t> buckets_;  // m x ζ bucket assignments
+  size_t columns_ = 0;
+  std::vector<uint32_t> buckets_;  // m x ζ bucket ids, column j's zones contiguous
+};
+
+/// Built LSH indexes over one signature matrix, keyed by banding (ζ, r, B)
+/// and bounded by the bytes their bucket matrices hold (least recently
+/// used evicted first). Thread-safe: lookups and inserts run under the
+/// cache's mutex, builds run outside it, and built indexes are immutable
+/// and shared by pointer. A SkySnapshot holds one for its signatures.
+class LshIndexCache {
+ public:
+  explicit LshIndexCache(size_t capacity_bytes) : cache_(capacity_bytes) {}
+
+  /// The index for `banding`: the cached one, or one built from
+  /// `signatures` with `seed` and cached. Every call must pass the same
+  /// matrix, and the same seed for a given banding, so racing builds
+  /// produce identical bits (the first insert wins). `built` (optional)
+  /// reports whether this call built the index.
+  [[nodiscard]] Result<std::shared_ptr<const LshIndex>> GetOrBuild(
+      const SignatureMatrix& signatures, const LshParams& banding, uint64_t seed,
+      bool* built = nullptr);
+
+  /// Bytes the cached indexes hold.
+  size_t bytes() const;
+
+ private:
+  using Key = std::tuple<size_t, size_t, size_t>;  // (ζ, r, B)
+
+  mutable Mutex mutex_;
+  LruCache<Key, std::shared_ptr<const LshIndex>> cache_ SKYDIVER_GUARDED_BY(mutex_);
 };
 
 }  // namespace skydiver

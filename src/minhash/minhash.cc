@@ -32,6 +32,11 @@ Result<SignatureMatrix> SignatureMatrix::LoadFromFile(const std::string& path) {
   if (!reader.ReadU64(&t) || !reader.ReadU64(&m)) {
     return Status::IoError("'" + path + "': truncated signature header");
   }
+  // Check the counts against the file before sizing anything from them.
+  if (m != 0 && t > reader.BytesLeft() / sizeof(uint64_t) / m) {
+    return Status::IoError("'" + path + "': header claims " + std::to_string(t) + " x " +
+                           std::to_string(m) + " slots, more than the file holds");
+  }
   SignatureMatrix sig(t, m);
   for (size_t j = 0; j < m; ++j) {
     for (size_t i = 0; i < t; ++i) {
@@ -105,6 +110,19 @@ double SignatureMatrix::EstimatedSimilarity(size_t c1, size_t c2) const {
   SKYDIVER_DCHECK(c1 < m_ && c2 < m_);
   // Stored slots compare equal exactly when their widened values do.
   return SlotAgreementSimilarity(column(c1), column(c2));
+}
+
+AgreementDistance SignatureMatrix::Distances() const {
+  AgreementDistance distance;
+  distance.lanes = slots_.data();
+  distance.width = t_;
+  distance.by_agreement.resize(t_ + 1, 1.0);  // t = 0: AgreementOf reads 0
+  if (t_ > 0) {
+    for (size_t a = 0; a <= t_; ++a) {
+      distance.by_agreement[a] = 1.0 - static_cast<double>(a) / static_cast<double>(t_);
+    }
+  }
+  return distance;
 }
 
 size_t RecommendedSignatureSize(double epsilon, double beta, double delta) {

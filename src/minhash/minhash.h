@@ -26,6 +26,7 @@
 #include "common/check.h"
 #include "common/status.h"
 #include "core/dataset.h"
+#include "kernels/agree_row.h"
 #include "kernels/min_merge.h"
 
 namespace skydiver {
@@ -187,6 +188,12 @@ class SignatureMatrix {
   double EstimatedDistance(size_t c1, size_t c2) const {
     return 1.0 - EstimatedSimilarity(c1, c2);
   }
+
+  /// EstimatedDistance over the stored slots as an AgreementDistance —
+  /// 1 − agree/t, tabulated with EstimatedDistance's own arithmetic, so the
+  /// greedy's row kernel reproduces it bit for bit. Valid while the matrix
+  /// lives and is not modified.
+  AgreementDistance Distances() const;
 
   /// Heap bytes held by the matrix (memory-consumption experiments).
   size_t MemoryBytes() const { return slots_.size() * sizeof(uint32_t); }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <limits>
 
 #include "common/mutex.h"
 #include "core/dominance.h"
@@ -388,117 +387,12 @@ Result<SigGenResult> ParallelSigGenIB(const DataSet& data,
   return out;
 }
 
-namespace {
-
-// Per-slot argmax state for one selection round. Initialized exactly like
-// the serial scan's running best (index m, -inf distance and score), so
-// folding slots in ascending order with the serial loop's strict
-// comparisons reproduces the serial ascending scan bit for bit.
-struct SelectionBest {
-  size_t index;
-  double dist;
-  double score;
-};
-
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-}  // namespace
-
 Result<DispersionResult> ParallelSelectDiverseSet(size_t m, size_t k,
                                                   const DistanceFn& distance,
                                                   const ScoreFn& score,
                                                   ThreadPool& pool,
                                                   size_t morsel_rows) {
-  // Mirror SelectDiverseSet's validation (messages included) so callers
-  // can switch between the two paths without changing error handling.
-  if (m == 0) return Status::InvalidArgument("no skyline points to select from");
-  if (k == 0) return Status::InvalidArgument("k must be positive");
-  if (k > m) {
-    return Status::InvalidArgument("k = " + std::to_string(k) +
-                                   " exceeds skyline cardinality m = " + std::to_string(m));
-  }
-  DispersionResult out;
-  out.selected.reserve(k);
-
-  MorselConfig cfg;
-  cfg.morsel_rows = morsel_rows;
-
-  // Written by the coordinator between rounds, read by workers during a
-  // round; deliberately uint8_t (vector<bool> packs bits, whose word-level
-  // writes would be a race if the flag were ever set mid-round).
-  std::vector<uint8_t> taken(m, 0);
-  // Cached minimum distance from each unselected point to the selected set
-  // (the paper's "boosted SG"). Entry i is written only by the one claim
-  // whose range contains i; cross-round visibility rides the pool's mutex
-  // (task completion -> Wait() -> next round's SubmitBatch).
-  std::vector<double> min_dist(m, std::numeric_limits<double>::infinity());
-
-  // Seed round: morsel argmax of the score, first index wins on ties —
-  // identical to the serial MaxScoreIndex ascending scan.
-  {
-    MorselQueue queue(m, pool.size(), cfg);
-    std::vector<SelectionBest> bests(queue.slots());
-    RunMorsels(pool, queue, [&](const MorselQueue::Claim& c) {
-      SelectionBest best{static_cast<size_t>(c.begin), score(c.begin), 0.0};
-      for (uint64_t i = c.begin + 1; i < c.end; ++i) {
-        const double s = score(i);
-        if (s > best.dist) {  // dist doubles as the seed's score key
-          best.dist = s;
-          best.index = static_cast<size_t>(i);
-        }
-      }
-      bests[c.slot] = best;
-    });
-    SelectionBest seed = bests[0];
-    for (size_t s = 1; s < bests.size(); ++s) {
-      if (bests[s].dist > seed.dist) seed = bests[s];
-    }
-    out.selected.push_back(seed.index);
-    taken[seed.index] = 1;
-  }
-  out.min_pairwise = std::numeric_limits<double>::infinity();
-
-  while (out.selected.size() < k) {
-    const size_t newest = out.selected.back();
-    // Refresh caches against the newest member, then pick the argmax of the
-    // cached min distance; ties resolved by domination score, then by the
-    // lowest index (the strict comparisons keep the first winner, within a
-    // slot and across the ascending fold alike).
-    MorselQueue queue(m, pool.size(), cfg);
-    std::vector<SelectionBest> bests(queue.slots(), SelectionBest{m, kNegInf, kNegInf});
-    std::vector<uint64_t> evals(queue.slots(), 0);
-    RunMorsels(pool, queue, [&](const MorselQueue::Claim& c) {
-      SelectionBest best{m, kNegInf, kNegInf};
-      uint64_t local_evals = 0;
-      for (uint64_t i = c.begin; i < c.end; ++i) {
-        if (taken[i] != 0) continue;
-        const double d = distance(i, newest);
-        ++local_evals;
-        if (d < min_dist[i]) min_dist[i] = d;
-        const double s = score(i);
-        if (min_dist[i] > best.dist || (min_dist[i] == best.dist && s > best.score)) {
-          best.index = static_cast<size_t>(i);
-          best.dist = min_dist[i];
-          best.score = s;
-        }
-      }
-      bests[c.slot] = best;
-      evals[c.slot] = local_evals;
-    });
-    SelectionBest round{m, kNegInf, kNegInf};
-    for (size_t s = 0; s < bests.size(); ++s) {
-      out.distance_evaluations += evals[s];
-      const SelectionBest& b = bests[s];
-      if (b.dist > round.dist || (b.dist == round.dist && b.score > round.score)) {
-        round = b;
-      }
-    }
-    out.selected.push_back(round.index);
-    taken[round.index] = 1;
-    out.min_pairwise = std::min(out.min_pairwise, round.dist);
-  }
-  if (k < 2) out.min_pairwise = 0.0;
-  return out;
+  return GreedyMaxMin(m, k, PairDistanceRow(distance), score, &pool, morsel_rows);
 }
 
 Result<DispersionResult> ParallelSelectDiverseSet(

@@ -11,9 +11,10 @@
 //  * SigGen-IF: MinHash minima are associative/commutative, so per-slot
 //    signature matrices min-merge into exactly the serial matrix, and
 //    domination scores add up;
-//  * selection: per-round morsel argmax with the serial loop's exact
-//    strict comparisons, folded in ascending slot order (first index wins
-//    on ties, exactly like the serial ascending scan).
+//  * selection: the one greedy body (diversify/dispersion.h, GreedyMaxMin)
+//    with a per-pair distance — per-round morsel argmax with the serial
+//    loop's exact strict comparisons, folded in ascending slot order
+//    (first index wins on ties, exactly like the serial ascending scan).
 
 #pragma once
 
@@ -86,15 +87,13 @@ Result<SigGenResult> ParallelSigGenIB(const DataSet& data,
                                       ThreadPool& pool,
                                       DomKernel kernel = DomKernel::kSimd);
 
-/// Morsel-parallel greedy k-MMDP selection, bit-identical to the serial
-/// SelectDiverseSet (same seed, same picks, same min_pairwise, same
-/// distance_evaluations) at every thread count and morsel size: each round
-/// runs the cached-min-distance argmax over candidate morsels and folds
-/// the per-slot winners in ascending slot order with the serial loop's
-/// exact strict comparisons, so ties resolve to the first index, exactly
-/// like the serial ascending scan. `distance` and `score` must be safe to
-/// call concurrently (the engine's MinHash / LSH distances are pure reads
-/// of frozen matrices).
+/// Morsel-parallel greedy k-MMDP selection with a per-pair distance: an
+/// adapter over GreedyMaxMin (diversify/dispersion.h) on `pool`, so it is
+/// bit-identical to the serial SelectDiverseSet (same seed, same picks,
+/// same min_pairwise, same distance_evaluations) at every thread count and
+/// morsel size. `distance` must be safe to call concurrently.
+/// MinHash and LSH selections take the row path instead
+/// (SelectDiverseSet over an AgreementDistance).
 Result<DispersionResult> ParallelSelectDiverseSet(size_t m, size_t k,
                                                   const DistanceFn& distance,
                                                   const ScoreFn& score,

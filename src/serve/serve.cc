@@ -128,12 +128,13 @@ Result<std::shared_ptr<const QueryResult>> SkyServer::Query(const QuerySpec& spe
   // actually overlap. Identical specs racing here each compute the same
   // bits (deterministic selection), so double-compute is a perf hiccup,
   // never an inconsistency.
-  QueryContext ctx(runtime_, CostModel{}, BandingSeed(snapshot->seed(), q));
+  QueryContext ctx(runtime_, CostModel{}, QuerySeed(snapshot->seed(), q));
   auto result = snapshot->Select(q, plan, ctx);
   if (!result.ok()) return result.status();
   auto shared = std::make_shared<const QueryResult>(std::move(result).value());
 
   MutexLock lock(mutex_);
+  stats_.lsh_index_builds += ctx.lsh_index_builds();
   ++stats_.result_misses;
   ++stats_.queries;
   result_cache_.Put(result_key, shared);

@@ -17,6 +17,12 @@
 //     SkyQuery: the frozen Phase-1 snapshot for each query shape
 //     (constraint box / projection / shards). LRU; the identity snapshot
 //     is pinned outside the cache and never evicted.
+//   * LSH index cache — one per snapshot (SkySnapshot::LshIndexFor), keyed
+//     by the resolved banding (ζ, r, B): the built bucket matrix, shared
+//     by every LSH spec that resolves to that banding, whatever its k or
+//     its exact ξ. LRU bounded by the snapshot's signature-matrix bytes;
+//     it lives and dies with its snapshot, so evicting a shaped snapshot
+//     frees its indexes. ServeStats::lsh_index_builds counts the builds.
 //
 // A server constructed from one snapshot serves exactly that snapshot's
 // shape and REJECTS specs carrying a different SkyQuery (it has no data to
@@ -25,9 +31,13 @@
 //
 // Correctness contract: caching is invisible. A hit returns a pointer to
 // a result bit-identical to what recomputing would produce — guaranteed
-// because snapshot selection is deterministic per spec (BandingSeed) —
-// and concurrent clients get answers bit-identical to the serial path
-// (tests/serve_test.cc, also under TSan).
+// because snapshot selection is deterministic per spec: the LSH banding is
+// salted by (snapshot seed, resolved banding, shape) via BandingSeed, so a
+// cached index holds exactly the buckets a rebuild would — and concurrent
+// clients get answers bit-identical to the serial path (tests/serve_test.cc,
+// also under TSan). Specs that resolve to one banding answer from one
+// index, so their picks agree: a k-pick answer is a prefix of any larger
+// k's, and ξ values below ChooseZones' resolution give the same answer.
 //
 // `ServeLoop` drives a fixed query schedule from N client threads with a
 // deterministic slot→client partition, so the produced results are
@@ -51,7 +61,7 @@
 #include "core/dataset.h"
 #include "engine/runtime.h"
 #include "engine/snapshot.h"
-#include "serve/lru_cache.h"
+#include "common/lru_cache.h"
 #include "stream/streaming.h"
 
 namespace skydiver {
@@ -76,6 +86,7 @@ struct ServeStats {
   uint64_t plan_misses = 0;     ///< resolved via Planner::ResolveSelect
   uint64_t snapshot_hits = 0;   ///< shaped snapshot already built
   uint64_t snapshot_misses = 0; ///< shaped snapshot built (Phase 1 ran)
+  uint64_t lsh_index_builds = 0; ///< LSH indexes built by computed queries
 };
 
 /// A queryable server. All methods are thread-safe; the caches are the

@@ -17,7 +17,7 @@ constexpr char kSessionMagic[8] = {'S', 'K', 'Y', 'D', 'S', 'E', 'S', '1'};
 // context (the session API is synchronous; concurrent serving goes through
 // serve/serve.h instead).
 Result<std::vector<RowId>> RunQuery(const SkySnapshot& snapshot, const QuerySpec& spec) {
-  QueryContext ctx(Runtime::Create(0), CostModel{}, BandingSeed(snapshot.seed(), spec));
+  QueryContext ctx(Runtime::Create(0), CostModel{}, QuerySeed(snapshot.seed(), spec));
   auto result = snapshot.Select(spec, ctx);
   if (!result.ok()) return result.status();
   return std::move(result.value().rows);
@@ -85,6 +85,12 @@ Result<SkyDiverSession> SkyDiverSession::LoadFromFile(const std::string& path) {
   if (!reader.ReadU64(&seed) || !reader.ReadU64(&m)) {
     return Status::IoError("'" + path + "': truncated session header");
   }
+  // Check every count against the file before sizing anything from it:
+  // each skyline point takes a row id and a score.
+  if (m > reader.BytesLeft() / (sizeof(RowId) + sizeof(uint64_t))) {
+    return Status::IoError("'" + path + "': header claims " + std::to_string(m) +
+                           " skyline points, more than the file holds");
+  }
   std::vector<RowId> skyline(m);
   for (auto& r : skyline) {
     if (!reader.ReadU32(&r)) return Status::IoError("'" + path + "': truncated skyline");
@@ -95,6 +101,10 @@ Result<SkyDiverSession> SkyDiverSession::LoadFromFile(const std::string& path) {
   }
   uint64_t t = 0;
   if (!reader.ReadU64(&t)) return Status::IoError("'" + path + "': truncated header");
+  if (m != 0 && t > reader.BytesLeft() / sizeof(uint64_t) / m) {
+    return Status::IoError("'" + path + "': header claims " + std::to_string(t) + " x " +
+                           std::to_string(m) + " signature slots, more than the file holds");
+  }
   SignatureMatrix signatures(t, m);
   for (size_t j = 0; j < m; ++j) {
     for (size_t i = 0; i < t; ++i) {

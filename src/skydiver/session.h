@@ -59,11 +59,13 @@ class SkyDiverSession {
   /// (SkyDiver-LSH's Phase 2), so the memory/accuracy knob can be explored
   /// on one set of fingerprints.
   ///
-  /// Banding determinism rule: the banding Rng is seeded by a functional
-  /// mix of (session seed, k, ξ, B) — see BandingSeed in engine/snapshot.h.
-  /// Equal arguments therefore always derive the same banding and return
-  /// the same rows, on any thread, in any call order, live or reloaded;
-  /// different (k, ξ, B) tuples draw independent bandings.
+  /// Banding determinism rule: the banding is salted by a functional mix
+  /// of (session seed, ζ, r, B), where (ζ, r) is the zoning ξ resolves to
+  /// — see BandingSeed in engine/snapshot.h. Equal arguments therefore
+  /// always derive the same banding and return the same rows, on any
+  /// thread, in any call order, live or reloaded; calls differing only in
+  /// k share one banding (the k-pick answer is a prefix of the larger
+  /// one's), and the index is built once per banding and reused.
   [[nodiscard]] Result<std::vector<RowId>> SelectLsh(size_t k, double threshold,
                                        size_t buckets) const;
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "engine/query_context.h"
 #include "engine/plan.h"
 #include "engine/planner.h"
+#include "engine/snapshot.h"
 #include "lsh/lsh.h"
 #include "minhash/siggen.h"
 #include "parallel/parallel_ops.h"
@@ -168,8 +170,10 @@ LegacyOutput LegacyRun(const DataSet& data, const SkyDiverConfig& config,
     const auto params = ChooseZones(config.signature_size, config.lsh_threshold,
                                     config.lsh_buckets)
                             .value();
+    // Batch LSH is salted like serving: by (seed, resolved banding, shape).
     const auto index =
-        LshIndex::Build(sig.signatures, params, config.seed ^ 0xdecaf).value();
+        LshIndex::Build(sig.signatures, params, BandingSeed(config.seed, params, SkyQuery{}))
+            .value();
     auto distance = [&](size_t a, size_t b) { return index.Distance(a, b); };
     selection = SelectDiverseSet(m, config.k, distance, score).value();
   }
@@ -231,6 +235,54 @@ INSTANTIATE_TEST_SUITE_P(
       name += info.param.threads == 0 ? "_serial" : "_pooled";
       return name;
     });
+
+// Batch runs and serving share one selection path: SkyDiver::Run with
+// select = kLsh returns the picks SkySnapshot::Select gives for the same
+// spec, unshaped and shaped, serial and pooled — both salt the banding by
+// (seed, resolved banding, shape) and run the same greedy.
+TEST(EngineTest, BatchLshPicksEqualSnapshotSelect) {
+  for (const WorkloadKind kind : {WorkloadKind::kIndependent, WorkloadKind::kCorrelated,
+                                  WorkloadKind::kAnticorrelated}) {
+    const DataSet data = GenerateWorkload(kind, 3000, 4, 77).value();
+    for (const bool shaped : {false, true}) {
+      for (const size_t threads : {size_t{0}, size_t{3}}) {
+        SkyDiverConfig config;
+        config.signature_size = 64;
+        config.select = SelectMode::kLsh;
+        config.lsh_threshold = 0.3;
+        config.lsh_buckets = 16;
+        config.threads = threads;
+        if (shaped) {
+          config.query.lo.assign(4, -std::numeric_limits<Coord>::infinity());
+          config.query.hi.assign(4, std::numeric_limits<Coord>::infinity());
+          config.query.hi[0] = 0.8;
+        }
+        const auto snapshot = SkySnapshot::Build(data, config);
+        ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+        config.k = std::min<size_t>(8, (*snapshot)->skyline().size());
+        const auto report = SkyDiver::Run(data, config);
+        ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+        QuerySpec spec;
+        spec.mode = SelectMode::kLsh;
+        spec.k = config.k;
+        spec.lsh_threshold = config.lsh_threshold;
+        spec.lsh_buckets = config.lsh_buckets;
+        spec.query = config.query;
+        QueryContext ctx(Runtime::Create(0), CostModel{}, 0);
+        const auto served = (*snapshot)->Select(spec, ctx);
+        ASSERT_TRUE(served.ok()) << served.status().ToString();
+        const std::string where = std::string(WorkloadKindName(kind)) +
+                                  (shaped ? " shaped" : "") +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_EQ(served->selected, report->selected) << where;
+        EXPECT_EQ(served->rows, report->selected_rows) << where;
+        EXPECT_EQ(served->objective, report->objective) << where;
+        EXPECT_EQ(served->lsh_memory_bytes, report->lsh_memory_bytes) << where;
+      }
+    }
+  }
+}
 
 // Pooled and serial MH plans agree exactly: ParallelSkyline == SFS and
 // ParallelSigGenIF min-merges to the identical matrix, so the whole

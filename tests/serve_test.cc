@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "common/lru_cache.h"
 #include "datagen/generators.h"
+#include "engine/planner.h"
 #include "engine/runtime.h"
 #include "engine/snapshot.h"
 #include "parallel/thread_pool.h"
@@ -152,28 +156,62 @@ TEST(SnapshotTest, SelectValidatesK) {
 }
 
 // ---------------------------------------------------------------------------
-// BandingSeed: the deterministic per-query seed derivation (satellite of
-// the session SelectLsh determinism rule)
+// BandingSeed: the LSH banding salt, keyed by (snapshot seed, resolved
+// banding, shape) — not by k and not by the raw ξ — and QuerySeed, the
+// per-query context seed
+
+LshParams Banding(size_t zones, size_t rows, size_t buckets) {
+  LshParams p;
+  p.zones = zones;
+  p.rows_per_zone = rows;
+  p.buckets_per_zone = buckets;
+  return p;
+}
+
+QuerySpec LshSpec(size_t k, double threshold, size_t buckets) {
+  QuerySpec s;
+  s.mode = SelectMode::kLsh;
+  s.k = k;
+  s.lsh_threshold = threshold;
+  s.lsh_buckets = buckets;
+  return s;
+}
 
 TEST(BandingSeedTest, DeterministicAndSensitiveToEveryKnob) {
-  QuerySpec lsh;
-  lsh.mode = SelectMode::kLsh;
-  lsh.k = 5;
-  lsh.lsh_threshold = 0.2;
-  lsh.lsh_buckets = 20;
+  const LshParams banding = Banding(50, 2, 20);
+  const SkyQuery identity;
+  EXPECT_EQ(BandingSeed(42, banding, identity), BandingSeed(42, banding, identity));
+  EXPECT_NE(BandingSeed(42, banding, identity), BandingSeed(43, banding, identity));
+  EXPECT_NE(BandingSeed(42, banding, identity),
+            BandingSeed(42, Banding(25, 4, 20), identity));
+  EXPECT_NE(BandingSeed(42, banding, identity),
+            BandingSeed(42, Banding(50, 3, 20), identity));
+  EXPECT_NE(BandingSeed(42, banding, identity),
+            BandingSeed(42, Banding(50, 2, 16), identity));
+  SkyQuery shaped;
+  shaped.shards = 2;
+  EXPECT_NE(BandingSeed(42, banding, identity), BandingSeed(42, banding, shaped));
+  SkyQuery other_shape;
+  other_shape.project = {0, 2};
+  EXPECT_NE(BandingSeed(42, banding, shaped), BandingSeed(42, banding, other_shape));
+  // The shape is canonicalized: shards = 0 spells the identity.
+  SkyQuery zero_shards;
+  zero_shards.shards = 0;
+  EXPECT_EQ(BandingSeed(42, banding, identity), BandingSeed(42, banding, zero_shards));
+}
 
-  EXPECT_EQ(BandingSeed(42, lsh), BandingSeed(42, lsh));
-
-  QuerySpec other = lsh;
-  other.k = 6;
-  EXPECT_NE(BandingSeed(42, lsh), BandingSeed(42, other));
-  other = lsh;
-  other.lsh_threshold = 0.5;
-  EXPECT_NE(BandingSeed(42, lsh), BandingSeed(42, other));
-  other = lsh;
-  other.lsh_buckets = 16;
-  EXPECT_NE(BandingSeed(42, lsh), BandingSeed(42, other));
-  EXPECT_NE(BandingSeed(42, lsh), BandingSeed(43, lsh));
+TEST(BandingSeedTest, SpecsResolvingToOneBandingShareASalt) {
+  // k and a ξ below ChooseZones' resolution do not reach the salt.
+  const QuerySpec base = LshSpec(5, 0.2, 20);
+  for (const QuerySpec& spec :
+       {LshSpec(9, 0.2, 20), LshSpec(5, 0.2 + 0x1p-30, 20), LshSpec(20, 0.21, 20)}) {
+    const auto a = Planner::ResolveSelect(base, 100);
+    const auto b = Planner::ResolveSelect(spec, 100);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_EQ(a->lsh.zones, b->lsh.zones);
+    ASSERT_EQ(a->lsh.rows_per_zone, b->lsh.rows_per_zone);
+    EXPECT_EQ(BandingSeed(42, a->lsh, base.query), BandingSeed(42, b->lsh, spec.query));
+  }
 }
 
 TEST(BandingSeedTest, NonLshSpecsNormalizeAwayTheLshKnobs) {
@@ -184,7 +222,10 @@ TEST(BandingSeedTest, NonLshSpecsNormalizeAwayTheLshKnobs) {
   QuerySpec b = a;
   b.lsh_threshold = 0.9;  // meaningless under kMinHash
   b.lsh_buckets = 123;
-  EXPECT_EQ(BandingSeed(42, a), BandingSeed(42, b));
+  EXPECT_EQ(QuerySeed(42, a), QuerySeed(42, b));
+  EXPECT_EQ(BandingSeed(42, a), QuerySeed(42, a));  // the former name
+  b.k = 6;
+  EXPECT_NE(QuerySeed(42, a), QuerySeed(42, b));
 }
 
 TEST(SessionTest, SelectLshIsDeterministicPerArgumentTuple) {
@@ -193,10 +234,11 @@ TEST(SessionTest, SelectLshIsDeterministicPerArgumentTuple) {
   const auto first = session.SelectLsh(5, 0.2, 20).value();
   const auto again = session.SelectLsh(5, 0.2, 20).value();
   EXPECT_EQ(first, again);
-  // Different k draws an independent banding — the first 5 picks need not
-  // be a prefix-equal rerun, but determinism per tuple still holds.
+  // Calls differing only in k share one banding, so the greedy's prefix
+  // property carries over: the 5 picks open the 7-pick answer.
   const auto k7 = session.SelectLsh(7, 0.2, 20).value();
   EXPECT_EQ(k7, session.SelectLsh(7, 0.2, 20).value());
+  EXPECT_EQ(std::vector<RowId>(k7.begin(), k7.begin() + 5), first);
 }
 
 // ---------------------------------------------------------------------------
@@ -531,6 +573,143 @@ TEST(ServeTest, StreamSnapshotMatchesBatchBuild) {
     ASSERT_TRUE(a.ok() && b.ok());
     ExpectSameResult(**a, **b);
   }
+}
+
+// ---------------------------------------------------------------------------
+// LSH index reuse: one index per (snapshot, banding), bounded in bytes
+
+TEST(LruCacheTest, WeightsBoundTheSummedCapacity) {
+  LruCache<int, int> cache(10);
+  cache.Put(1, 100, 4);
+  cache.Put(2, 200, 4);
+  EXPECT_EQ(cache.weight(), 8u);
+  ASSERT_NE(cache.Get(1), nullptr);  // touch: 2 is now least recent
+  cache.Put(3, 300, 4);              // 12 > 10: evicts 2
+  EXPECT_EQ(cache.Get(2), nullptr);
+  EXPECT_EQ(cache.weight(), 8u);
+  cache.Put(1, 101, 6);  // overwrite re-weighs: 10 fits
+  EXPECT_EQ(*cache.Get(1), 101);
+  EXPECT_EQ(cache.weight(), 10u);
+  cache.Put(4, 400, 11);  // heavier than the capacity: evicts everything
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.weight(), 0u);
+}
+
+TEST(ServeTest, SpecsSharingABandingBuildOneLshIndex) {
+  const DataSet data = GenerateIndependent(3000, 3, 71);
+  const auto snapshot = BuildSnapshot(data, 100, 7);
+  SkyServer server(snapshot);
+  const auto k10 = server.Query(LshSpec(10, 0.2, 20));
+  const auto k20 = server.Query(LshSpec(20, 0.2, 20));
+  const auto nudged = server.Query(LshSpec(10, 0.2 + 0x1p-30, 20));
+  const auto nudged_more = server.Query(LshSpec(10, 0.2 + 0x1p-40, 20));
+  ASSERT_TRUE(k10.ok() && k20.ok() && nudged.ok() && nudged_more.ok());
+  ServeStats stats = server.stats();
+  EXPECT_EQ(stats.result_misses, 4u);
+  EXPECT_EQ(stats.lsh_index_builds, 1u);
+  EXPECT_EQ(snapshot->lsh_cache_bytes(), snapshot->skyline().size() * 50 * sizeof(uint32_t));
+
+  // One banding, one answer; and the greedy's prefix property across k.
+  ExpectSameResult(**nudged, **k10);
+  ExpectSameResult(**nudged_more, **k10);
+  ASSERT_EQ((*k20)->selected.size(), 20u);
+  EXPECT_EQ(std::vector<size_t>((*k20)->selected.begin(), (*k20)->selected.begin() + 10),
+            (*k10)->selected);
+
+  // Another banding builds its own index; B is part of the banding.
+  ASSERT_TRUE(server.Query(LshSpec(10, 0.5, 20)).ok());
+  ASSERT_TRUE(server.Query(LshSpec(10, 0.2, 16)).ok());
+  ASSERT_TRUE(server.Query(LshSpec(12, 0.5, 20)).ok());
+  stats = server.stats();
+  EXPECT_EQ(stats.lsh_index_builds, 3u);
+  // MinHash reads build nothing.
+  QuerySpec mh;
+  mh.k = 10;
+  ASSERT_TRUE(server.Query(mh).ok());
+  EXPECT_EQ(server.stats().lsh_index_builds, 3u);
+}
+
+TEST(ServeTest, ConcurrentReadersOfOneBandingGetIdenticalAnswers) {
+  const DataSet data = GenerateIndependent(3000, 3, 73);
+  std::vector<QuerySpec> schedule;
+  for (size_t i = 0; i < 64; ++i) {
+    schedule.push_back(LshSpec(3 + i % 8, 0.2 + static_cast<double>(i % 5) * 0x1p-36, 20));
+  }
+  // The reference runs serially on a separately built snapshot, so its
+  // index is built apart from the one the racing clients share.
+  const auto reference_snapshot = BuildSnapshot(data, 100, 9);
+  std::vector<QueryResult> reference;
+  for (const QuerySpec& spec : schedule) {
+    QueryContext ctx(Runtime::Create(0), CostModel{}, QuerySeed(9, spec));
+    reference.push_back(reference_snapshot->Select(spec, ctx).value());
+  }
+  ServeOptions uncached;
+  uncached.result_cache_capacity = 0;  // every query computes
+  SkyServer server(BuildSnapshot(data, 100, 9), uncached);
+  const auto report = ServeLoop(server, schedule, 8);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  for (size_t i = 0; i < schedule.size(); ++i) {
+    ExpectSameResult(*report->results[i], reference[i]);
+  }
+  // Racing first reads may each build; afterwards every read is a hit.
+  EXPECT_GE(report->stats.lsh_index_builds, 1u);
+  EXPECT_LE(report->stats.lsh_index_builds, 8u);
+}
+
+TEST(SnapshotTest, LshIndexCacheIsByteBoundedAndDiesWithTheSnapshot) {
+  const DataSet data = GenerateIndependent(2000, 3, 79);
+  auto snapshot = BuildSnapshot(data, 100, 11);
+  const size_t cap = snapshot->signatures().MemoryBytes();
+  bool built = false;
+  const auto half = snapshot->LshIndexFor(Banding(50, 2, 20), &built).value();
+  EXPECT_TRUE(built);
+  const auto quarter = snapshot->LshIndexFor(Banding(25, 4, 20), &built).value();
+  EXPECT_TRUE(built);
+  EXPECT_EQ(snapshot->lsh_cache_bytes(), cap * 3 / 4);
+  EXPECT_EQ(snapshot->LshIndexFor(Banding(50, 2, 20), &built).value(), half);  // shared
+  EXPECT_FALSE(built);
+  // A full-width banding needs the whole budget: both others are evicted,
+  // least recent first, but indexes a caller still holds stay valid.
+  const auto full = snapshot->LshIndexFor(Banding(100, 1, 20), &built).value();
+  EXPECT_TRUE(built);
+  EXPECT_EQ(snapshot->lsh_cache_bytes(), cap);
+  EXPECT_EQ(quarter->columns(), snapshot->skyline().size());
+  (void)snapshot->LshIndexFor(Banding(25, 4, 20), &built).value();
+  EXPECT_TRUE(built);
+  EXPECT_LE(snapshot->lsh_cache_bytes(), cap);
+
+  const std::weak_ptr<const LshIndex> cached = snapshot->LshIndexFor(Banding(25, 4, 20)).value();
+  ASSERT_FALSE(cached.expired());
+  snapshot.reset();
+  EXPECT_TRUE(cached.expired());
+}
+
+TEST(ServeTest, EvictedShapedSnapshotFreesItsLshIndexes) {
+  const DataSet data = GenerateIndependent(1500, 3, 83);
+  SkyDiverConfig config;
+  config.signature_size = 32;
+  config.seed = 13;
+  ServeOptions options;
+  options.snapshot_cache_capacity = 1;
+  options.result_cache_capacity = 0;
+  auto server = SkyServer::Create(data, config, {}, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  QuerySpec a = LshSpec(3, 0.3, 20);
+  a.query.lo = {0.0, 0.0, 0.0};
+  a.query.hi = {0.7, 1.0, 1.0};
+  QuerySpec b = a;
+  b.query.hi = {1.0, 0.7, 1.0};
+
+  ASSERT_TRUE((*server)->Query(a).ok());
+  a.k = 4;
+  ASSERT_TRUE((*server)->Query(a).ok());  // cached snapshot, cached index
+  EXPECT_EQ((*server)->stats().lsh_index_builds, 1u);
+  ASSERT_TRUE((*server)->Query(b).ok());  // evicts a's snapshot
+  EXPECT_EQ((*server)->stats().lsh_index_builds, 2u);
+  ASSERT_TRUE((*server)->Query(a).ok());  // a's snapshot and index rebuilt
+  const ServeStats stats = (*server)->stats();
+  EXPECT_EQ(stats.snapshot_misses, 3u);
+  EXPECT_EQ(stats.lsh_index_builds, 3u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -131,6 +132,38 @@ TEST(SessionTest, OutOfRangeSignatureSlotIsIoError) {
     const auto rejected = SkyDiverSession::LoadFromFile(path);
     EXPECT_TRUE(rejected.status().IsIoError()) << bad << ": " << rejected.status().ToString();
   }
+  std::remove(path.c_str());
+}
+
+TEST(SessionTest, OversizedHeaderIsIoErrorBeforeAllocating) {
+  // A 24-byte SKYDSES1 header (magic, seed, m = 2^31) must fail with
+  // IoError: its skyline and scores alone would need 24 GiB. So must a
+  // well-formed skyline followed by t = 2^31 signature slots per point.
+  const char magic[8] = {'S', 'K', 'Y', 'D', 'S', 'E', 'S', '1'};
+  const std::string path = testing::TempDir() + "/session_oversized.skyd";
+  auto write_raw = [&](const std::vector<uint64_t>& fields) {
+    std::ofstream out(path, std::ios::binary);
+    out.write(magic, 8);
+    for (uint64_t v : fields) {
+      for (int b = 0; b < 8; ++b) out.put(static_cast<char>((v >> (8 * b)) & 0xff));
+    }
+  };
+  const uint64_t huge = uint64_t{1} << 31;
+  write_raw({7, huge});
+  auto loaded = SkyDiverSession::LoadFromFile(path);
+  EXPECT_TRUE(loaded.status().IsIoError()) << loaded.status().ToString();
+
+  {
+    BinaryWriter writer(path, magic);
+    writer.WriteU64(7);  // seed
+    writer.WriteU64(1);  // m
+    writer.WriteU32(0);  // skyline
+    writer.WriteU64(3);  // score
+    writer.WriteU64(huge);  // t
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  loaded = SkyDiverSession::LoadFromFile(path);
+  EXPECT_TRUE(loaded.status().IsIoError()) << loaded.status().ToString();
   std::remove(path.c_str());
 }
 

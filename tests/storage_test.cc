@@ -268,6 +268,33 @@ TEST(SignatureIoTest, OutOfRangeSlotIsIoErrorNotNarrowed) {
   std::remove(path.c_str());
 }
 
+// Raw little-endian bytes: a magic followed by u64 fields, no checksum.
+void WriteRawFile(const std::string& path, const char magic[8],
+                  const std::vector<uint64_t>& fields) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(magic, 8);
+  for (uint64_t v : fields) {
+    for (int b = 0; b < 8; ++b) out.put(static_cast<char>((v >> (8 * b)) & 0xff));
+  }
+}
+
+TEST(SignatureIoTest, OversizedHeaderIsIoErrorBeforeAllocating) {
+  // A 24-byte file claiming t = m = 2^31 would ask for 2^62 slots; the
+  // loader must compare the counts with the file's bytes and return
+  // IoError instead of letting the allocation throw.
+  const char magic[8] = {'S', 'K', 'Y', 'D', 'S', 'I', 'G', '1'};
+  const std::string path = TempPath("signatures_oversized.skyd");
+  const uint64_t huge = uint64_t{1} << 31;
+  WriteRawFile(path, magic, {huge, huge});
+  auto loaded = SignatureMatrix::LoadFromFile(path);
+  EXPECT_TRUE(loaded.status().IsIoError()) << loaded.status().ToString();
+  // So is a header claiming one slot more than the file holds.
+  WriteRawFile(path, magic, {3, 1, 5, 6});
+  loaded = SignatureMatrix::LoadFromFile(path);
+  EXPECT_TRUE(loaded.status().IsIoError()) << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST(SignatureIoTest, SavedBytesKeepThe64BitLayout) {
   // The saver widens each slot, so a file written from 32-bit slots is
   // byte-for-byte the 64-bit format: header, then t*m u64 values with the
