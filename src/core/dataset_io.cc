@@ -1,5 +1,8 @@
 #include "core/dataset_io.h"
 
+#include <limits>
+#include <string>
+
 #include "common/binio.h"
 
 namespace skydiver {
@@ -26,7 +29,18 @@ Result<DataSet> LoadDataSet(const std::string& path) {
     return Status::IoError("'" + path + "': truncated header");
   }
   if (dims == 0) return Status::InvalidArgument("'" + path + "': zero dimensionality");
-  std::vector<Coord> values(dims * n);
+  // Check the counts against the file before sizing anything from them
+  // (dims * n may also wrap).
+  if (n > reader.BytesLeft() / sizeof(Coord) / dims) {
+    return Status::IoError("'" + path + "': header claims " + std::to_string(n) +
+                           " rows of " + std::to_string(dims) +
+                           " coordinates, more than the file holds");
+  }
+  if (n > std::numeric_limits<RowId>::max()) {
+    return Status::InvalidArgument("'" + path + "': " + std::to_string(n) +
+                                   " rows exceed the row-id range");
+  }
+  std::vector<Coord> values(static_cast<size_t>(dims) * n);
   for (auto& v : values) {
     if (!reader.ReadDouble(&v)) return Status::IoError("'" + path + "': truncated payload");
   }

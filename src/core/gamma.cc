@@ -1,10 +1,8 @@
 #include "core/gamma.h"
 
 #include <algorithm>
-#include <bit>
 
-#include "core/dominance.h"
-#include "kernels/tile_view.h"
+#include "kernels/skyline_blocks.h"
 
 namespace skydiver {
 
@@ -17,40 +15,16 @@ GammaSets GammaSets::Compute(const DataSet& data, const std::vector<RowId>& skyl
   out.non_skyline_ = n - m;
   out.gammas_.assign(m, BitVector(n));
   out.counts_.assign(m, 0);
-  const DomKernel effective = EffectiveKernel(kernel, m);
-  if (IsBatched(effective)) {
-    // Skyline columns tiled column-major, tile ids = column index j. No
-    // self-skip is needed: strict dominance is irreflexive, so a skyline
-    // row's own column bit is never set.
-    TileSet sky_tiles(data.dims());
-    for (size_t j = 0; j < m; ++j) {
-      sky_tiles.Append(static_cast<RowId>(j), data.row(skyline[j]));
-    }
-    const DominanceKernel batch(effective);
-    for (RowId r = 0; r < n; ++r) {
-      const auto point = data.row(r);
-      for (const Tile& tile : sky_tiles.tiles()) {
-        uint64_t mask = batch.FilterDominators(point, tile.view());
-        while (mask != 0) {
-          const int bit = std::countr_zero(mask);
-          mask &= mask - 1;
-          const size_t j = tile.id(static_cast<size_t>(bit));
-          out.gammas_[j].Set(r);
-          ++out.counts_[j];
-        }
-      }
-    }
-    return out;
-  }
+  // Skyline columns as corner-pruned blocks (tile ids = column index j).
+  // No self-skip is needed: strict dominance is irreflexive, so a skyline
+  // row's own column bit is never set.
+  const SkylineBlocks blocks = SkylineBlocks::Build(data, skyline);
+  const DominanceKernel batch(EffectiveKernel(kernel, m));
   for (RowId r = 0; r < n; ++r) {
-    const auto point = data.row(r);
-    for (size_t j = 0; j < m; ++j) {
-      if (skyline[j] == r) continue;  // a point never dominates itself
-      if (Dominates(data.row(skyline[j]), point)) {
-        out.gammas_[j].Set(r);
-        ++out.counts_[j];
-      }
-    }
+    blocks.ForEachDominator(data.row(r), batch, [&](size_t j) {
+      out.gammas_[j].Set(r);
+      ++out.counts_[j];
+    });
   }
   return out;
 }

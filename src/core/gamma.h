@@ -26,10 +26,11 @@ namespace skydiver {
 class GammaSets {
  public:
   /// Computes Γ(s) for every skyline row in `skyline` by a full scan of
-  /// `data` (O(n·m) dominance tests). `data` must be in minimization space.
-  /// The scan is exhaustive, so kScalar and kTiled produce identical sets;
-  /// under kTiled the skyline columns are swept one 64-column tile at a
-  /// time per data row.
+  /// `data`. `data` must be in minimization space. The skyline columns are
+  /// held as corner-pruned blocks (kernels/skyline_blocks.h): each data row
+  /// is tested against the 64-column tiles whose lower corner dominates
+  /// it, at most O(n·m) tests. Every kernel produces identical sets and
+  /// dominance counts.
   static GammaSets Compute(const DataSet& data, const std::vector<RowId>& skyline,
                            DomKernel kernel = DomKernel::kScalar);
 

@@ -123,9 +123,9 @@ class SkylineStage : public Stage {
 };
 
 // Builds the MinHash signatures and exact domination scores (Phase 1).
-// Every backend takes the plan's kernel: the IF passes classify data rows
-// with it, the IB descents their leaf points (the corner tests against
-// inner MBRs stay scalar).
+// Every backend takes the plan's kernel: the IF passes sweep corner-pruned
+// skyline blocks with it, the IB descents classify inner-entry corners and
+// leaf points with it over per-node candidate tiles.
 class FingerprintStage : public Stage {
  public:
   FingerprintStage(FingerprintBackend backend, DomKernel kernel, size_t morsel_rows)

@@ -39,8 +39,9 @@
 // and ::TiledCount(). They never discount early exits the scalar loops
 // would have taken (AnyDominator stops scanning on the first scalar hit
 // but sweeps whole tiles), so batched counts can exceed scalar counts for
-// early-exit call sites, and agree exactly for exhaustive ones (SigGen-IF,
-// Γ-set construction). PruneCorners takes two tiles and charges per sweep
+// early-exit call sites, and agree exactly for call sites without early
+// exits (the SkylineBlocks walks of SigGen-IF and Γ-set construction,
+// SigGen-IB's candidate tiles). PruneCorners takes two tiles and charges per sweep
 // it actually performs — see its declaration.
 
 #pragma once

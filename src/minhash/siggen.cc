@@ -1,11 +1,9 @@
 #include "minhash/siggen.h"
 
 #include <algorithm>
-#include <bit>
 #include <deque>
 
 #include "core/dominance.h"
-#include "kernels/tile_view.h"
 #include "minhash/ib_accumulator.h"
 #include "rtree/disk_rtree.h"
 
@@ -40,72 +38,44 @@ uint64_t SequentialScanPages(uint64_t n, Dim dims, uint32_t page_size) {
   return (n + records_per_page - 1) / records_per_page;
 }
 
+void SigGenIfRows(const DataSet& data, const std::vector<bool>& is_skyline,
+                  const SkylineBlocks& blocks, const DominanceKernel& kernel,
+                  const MinHashFamily& family, uint64_t begin, uint64_t end,
+                  SignatureMatrix* signatures, std::vector<uint64_t>* scores) {
+  // Hash values of the current row, computed once and min-merged into every
+  // dominating column (equivalent to the paper's per-column UpdateMatrix,
+  // which re-evaluates the same t hashes).
+  std::vector<uint32_t> row_hash(family.size());
+  for (uint64_t r = begin; r < end; ++r) {
+    if (is_skyline[r]) continue;  // skyline points belong to no Γ set
+    bool hashed = false;
+    blocks.ForEachDominator(data.row(static_cast<RowId>(r)), kernel, [&](size_t j) {
+      ++(*scores)[j];
+      if (!hashed) {
+        family.HashRow(r, row_hash.data());
+        hashed = true;
+      }
+      signatures->MergeMin(j, row_hash.data());
+    });
+  }
+}
+
 Result<SigGenResult> SigGenIF(const DataSet& data, const std::vector<RowId>& skyline,
                               const MinHashFamily& family, DomKernel kernel) {
   SKYDIVER_RETURN_NOT_OK(ValidateInputs(data, skyline, family));
   const uint64_t checks_before = DominanceCounter::Count();
 
-  const size_t t = family.size();
   const size_t m = skyline.size();
   const RowId n = data.size();
-  kernel = EffectiveKernel(kernel, m);
   SigGenResult out;
-  out.signatures = SignatureMatrix(t, m);
+  out.signatures = SignatureMatrix(family.size(), m);
   out.domination_scores.assign(m, 0);
 
   std::vector<bool> is_skyline(n, false);
   for (RowId s : skyline) is_skyline[s] = true;
-
-  // Hash values of the current row, computed once and min-merged into every
-  // dominating column (equivalent to the paper's per-column UpdateMatrix,
-  // which re-evaluates the same t hashes).
-  std::vector<uint32_t> row_hash(t);
-  if (IsBatched(kernel)) {
-    // The skyline columns live in column-major tiles; each tile id holds
-    // the signature-column index j, so mask bits map straight back to
-    // columns. Both the scalar and the batched passes are exhaustive (no
-    // early exit), so signatures, scores, and dominance counts all match
-    // exactly.
-    TileSet sky_tiles(data.dims());
-    for (size_t j = 0; j < m; ++j) {
-      sky_tiles.Append(static_cast<RowId>(j), data.row(skyline[j]));
-    }
-    const DominanceKernel batch(kernel);
-    for (RowId r = 0; r < n; ++r) {
-      if (is_skyline[r]) continue;
-      const auto point = data.row(r);
-      bool hashed = false;
-      for (const Tile& tile : sky_tiles.tiles()) {
-        uint64_t mask = batch.FilterDominators(point, tile.view());
-        while (mask != 0) {
-          const int bit = std::countr_zero(mask);
-          mask &= mask - 1;
-          const size_t j = tile.id(static_cast<size_t>(bit));
-          ++out.domination_scores[j];
-          if (!hashed) {
-            family.HashRow(r, row_hash.data());
-            hashed = true;
-          }
-          out.signatures.MergeMin(j, row_hash.data());
-        }
-      }
-    }
-  } else {
-    for (RowId r = 0; r < n; ++r) {
-      if (is_skyline[r]) continue;  // skyline points belong to no Γ set
-      const auto point = data.row(r);
-      bool hashed = false;
-      for (size_t j = 0; j < m; ++j) {
-        if (!Dominates(data.row(skyline[j]), point)) continue;
-        ++out.domination_scores[j];
-        if (!hashed) {
-          family.HashRow(r, row_hash.data());
-          hashed = true;
-        }
-        out.signatures.MergeMin(j, row_hash.data());
-      }
-    }
-  }
+  const SkylineBlocks blocks = SkylineBlocks::Build(data, skyline);
+  SigGenIfRows(data, is_skyline, blocks, DominanceKernel(EffectiveKernel(kernel, m)),
+               family, 0, n, &out.signatures, &out.domination_scores);
 
   // Sequential scan of the data file: every page is a physical read.
   const uint64_t pages = SequentialScanPages(n, data.dims(), 4096);
@@ -166,8 +136,8 @@ Result<SigGenResult> SigGenIBImpl(const DataSet& data, const std::vector<RowId>&
     for (size_t j = 0; j < m; ++j) root.candidates[j] = j;
     queue.push_back(std::move(root));
   }
-  std::vector<size_t> full;     // scratch: columns fully dominating an entry
-  std::vector<size_t> partial;  // scratch: candidate set for a child task
+  NodeSplit split;                    // classification of the current node
+  std::vector<size_t> full, partial;  // one entry's columns (scratch)
   while (!queue.empty()) {
     Task task = std::move(queue.front());
     queue.pop_front();
@@ -183,23 +153,20 @@ Result<SigGenResult> SigGenIBImpl(const DataSet& data, const std::vector<RowId>&
       rowcount += node.entries.size();
       continue;
     }
-    for (const auto& e : node.entries) {
-      full = task.full;
-      partial.clear();
-      for (size_t j : task.candidates) {
-        if (e.mbr.FullyDominatedBy(sky[j])) {
-          full.push_back(j);
-        } else if (e.mbr.UpperCornerDominatedBy(sky[j])) {
-          partial.push_back(j);
-        }
-      }
+    acc.SplitNode(node, task.candidates, &split);
+    for (size_t i = 0; i < node.entries.size(); ++i) {
+      const RTreeEntry& e = node.entries[i];
+      const std::span<const size_t> entry_full =
+          split.Expand(i, task.candidates, task.full, &full, &partial);
       if (partial.empty()) {
         // Exclusively full (or no) dominance: bulk-update without reading
         // the subtree — the aggregate count stands in for its points.
-        acc.AddRange(rowcount, e.count, full);
+        acc.AddRange(rowcount, e.count, entry_full);
         rowcount += e.count;
       } else {
-        queue.push_back(Task{e.child, full, partial});  // must look inside
+        // Must look inside. The queue can hold a whole tree level, so the
+        // child's lists are copies of exactly their size.
+        queue.push_back(Task{e.child, {entry_full.begin(), entry_full.end()}, partial});
       }
     }
   }

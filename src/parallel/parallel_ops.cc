@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 
 #include "common/mutex.h"
 #include "core/dominance.h"
-#include "kernels/tile_view.h"
 #include "minhash/ib_accumulator.h"
 #include "parallel/morsel.h"
 
@@ -138,17 +136,10 @@ Result<SigGenResult> ParallelSigGenIF(const DataSet& data,
   std::vector<bool> is_skyline(n, false);
   for (RowId s : skyline) is_skyline[s] = true;
 
-  // Shared read-only tiling of the skyline columns (tile ids = column
-  // index j), built once and swept by every shard under a batched kernel.
-  TileSet sky_tiles(data.dims());
-  if (IsBatched(kernel)) {
-    for (size_t j = 0; j < m; ++j) {
-      sky_tiles.Append(static_cast<RowId>(j), data.row(skyline[j]));
-    }
-  }
-  // Shards only read the tiling; freezing makes that contract explicit and
-  // turns an accidental cross-thread mutation into a debug-build abort.
-  sky_tiles.Freeze();
+  // Shared read-only corner-pruned blocks of the skyline columns, built
+  // once and swept by every claim (SkylineBlocks is immutable).
+  const SkylineBlocks blocks = SkylineBlocks::Build(data, skyline);
+  const DominanceKernel batch(kernel);
 
   // One reduction slot per claim (a batch of consecutive morsels — see
   // parallel/morsel.h); the auto batch size bounds the per-slot t x m
@@ -162,41 +153,8 @@ Result<SigGenResult> ParallelSigGenIF(const DataSet& data,
                                                  std::vector<uint64_t>(m, 0));
 
   RunMorsels(pool, queue, [&](const MorselQueue::Claim& c) {
-    SignatureMatrix& sig = slot_sig[c.slot];
-    std::vector<uint64_t>& scores = slot_scores[c.slot];
-    std::vector<uint32_t> row_hash(t);
-    const DominanceKernel batch(kernel);
-    for (uint64_t r = c.begin; r < c.end; ++r) {
-      if (is_skyline[r]) continue;
-      const auto point = data.row(static_cast<RowId>(r));
-      bool hashed = false;
-      if (IsBatched(kernel)) {
-        for (const Tile& tile : sky_tiles.tiles()) {
-          uint64_t mask = batch.FilterDominators(point, tile.view());
-          while (mask != 0) {
-            const int bit = std::countr_zero(mask);
-            mask &= mask - 1;
-            const size_t j = tile.id(static_cast<size_t>(bit));
-            ++scores[j];
-            if (!hashed) {
-              family.HashRow(r, row_hash.data());
-              hashed = true;
-            }
-            sig.MergeMin(j, row_hash.data());
-          }
-        }
-        continue;
-      }
-      for (size_t j = 0; j < m; ++j) {
-        if (!Dominates(data.row(skyline[j]), point)) continue;
-        ++scores[j];
-        if (!hashed) {
-          family.HashRow(r, row_hash.data());
-          hashed = true;
-        }
-        sig.MergeMin(j, row_hash.data());
-      }
-    }
+    SigGenIfRows(data, is_skyline, blocks, batch, family, c.begin, c.end,
+                 &slot_sig[c.slot], &slot_scores[c.slot]);
   });
   FoldHarvest(pool);
 
@@ -240,33 +198,33 @@ struct IbWorker {
   IbWorker(size_t t, size_t m) : signatures(t, m), scores(m, 0) {}
 };
 
-// Processes one subtree recursively against the candidate columns; row-id
-// ranges come from the DFS prefix sums of the entry counts.
-void IbProcessSubtree(const std::vector<std::span<const Coord>>& sky, const RTree& tree,
-                      const IbTask& task, IbAccumulator& acc, IbWorker* worker) {
+// Processes one subtree recursively against the candidate columns;
+// row-id ranges come from the DFS prefix sums of the entry counts. The
+// node's entries are all classified before any child is descended into,
+// since the children reuse the accumulator's candidate tiles.
+void IbProcessSubtree(const RTree& tree, const IbTask& task, IbAccumulator& acc,
+                      IbWorker* worker) {
   const RTreeNode& node = tree.PeekNode(task.page);
   ++worker->pages_read;
   if (node.is_leaf) {
     acc.AddLeaf(node, task.base, task.full, task.candidates);
     return;
   }
+  NodeSplit split;
+  acc.SplitNode(node, task.candidates, &split);
+  std::vector<size_t> full, partial;
   uint64_t offset = task.base;
-  std::vector<size_t> full;
-  std::vector<size_t> partial;
-  for (const auto& e : node.entries) {
-    full = task.full;
-    partial.clear();
-    for (size_t j : task.candidates) {
-      if (e.mbr.FullyDominatedBy(sky[j])) {
-        full.push_back(j);
-      } else if (e.mbr.UpperCornerDominatedBy(sky[j])) {
-        partial.push_back(j);
-      }
-    }
+  for (size_t i = 0; i < node.entries.size(); ++i) {
+    const RTreeEntry& e = node.entries[i];
+    const std::span<const size_t> entry_full =
+        split.Expand(i, task.candidates, task.full, &full, &partial);
     if (partial.empty()) {
-      acc.AddRange(offset, e.count, full);
+      acc.AddRange(offset, e.count, entry_full);
     } else {
-      IbProcessSubtree(sky, tree, IbTask{e.child, offset, 0, full, partial}, acc, worker);
+      IbProcessSubtree(
+          tree,
+          IbTask{e.child, offset, 0, {entry_full.begin(), entry_full.end()}, partial},
+          acc, worker);
     }
     offset += e.count;
   }
@@ -301,6 +259,9 @@ Result<SigGenResult> ParallelSigGenIB(const DataSet& data,
   // there are enough tasks to feed the pool (or nothing is expandable).
   std::vector<IbTask> tasks;
   {
+    CandidateTiles tiles(sky, kernel);
+    NodeSplit split;
+    std::vector<size_t> full, partial;
     std::vector<size_t> all(m);
     for (size_t j = 0; j < m; ++j) all[j] = j;
     tasks.push_back(IbTask{tree.root(), 0, 0, {}, std::move(all)});
@@ -320,23 +281,19 @@ Result<SigGenResult> ParallelSigGenIB(const DataSet& data,
           continue;
         }
         expanded = true;
+        tiles.Load(task.candidates);
+        tiles.SplitNode(node, &split);
         uint64_t offset = task.base;
-        for (const auto& e : node.entries) {
-          std::vector<size_t> full = task.full;
-          std::vector<size_t> partial;
-          for (size_t j : task.candidates) {
-            if (e.mbr.FullyDominatedBy(sky[j])) {
-              full.push_back(j);
-            } else if (e.mbr.UpperCornerDominatedBy(sky[j])) {
-              partial.push_back(j);
-            }
-          }
+        for (size_t i = 0; i < node.entries.size(); ++i) {
+          const RTreeEntry& e = node.entries[i];
+          const std::span<const size_t> entry_full =
+              split.Expand(i, task.candidates, task.full, &full, &partial);
           if (partial.empty()) {
-            next.push_back(
-                IbTask{kInvalidPageId, offset, e.count, std::move(full), {}});
+            next.push_back(IbTask{kInvalidPageId, offset, e.count,
+                                  {entry_full.begin(), entry_full.end()}, {}});
           } else {
-            next.push_back(
-                IbTask{e.child, offset, 0, std::move(full), std::move(partial)});
+            next.push_back(IbTask{e.child, offset, 0,
+                                  {entry_full.begin(), entry_full.end()}, partial});
           }
           offset += e.count;
         }
@@ -364,7 +321,7 @@ Result<SigGenResult> ParallelSigGenIB(const DataSet& data,
         if (task.page == kInvalidPageId) {
           acc.AddRange(task.base, task.count, task.full);
         } else {
-          IbProcessSubtree(sky, tree, task, acc, &worker);
+          IbProcessSubtree(tree, task, acc, &worker);
         }
       }
     });

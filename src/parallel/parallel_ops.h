@@ -34,8 +34,9 @@ namespace skydiver {
 // All pooled operations here harvest the workers' dominance-test deltas
 // (ThreadPool::HarvestDominanceChecks) and fold them into both the result's
 // `dominance_checks` and the calling thread's DominanceCounter, so pooled
-// runs report the same counts a serial run would (exactly, for the
-// exhaustive SigGen-IF pass; the sharded skyline does different work).
+// runs report the same counts a serial run would (exactly, for SigGen-IF's
+// block walk and SigGen-IB's node classification; the sharded skyline does
+// different work).
 //
 // `morsel_rows` on the batched entry points is the plan's morsel size
 // (0 = kDefaultMorselRows); the kernel defaults match the planner's
@@ -79,8 +80,9 @@ Result<SigGenResult> ParallelSigGenIF(const DataSet& data,
 /// permutation than the serial BFS SigGenIB, so estimates agree only
 /// statistically with it. Node access bypasses the buffer pool (thread
 /// safety); the result's IoStats report the pages an accounted traversal
-/// would have read logically. Leaves are classified and merged by the same
-/// IbAccumulator as the serial SigGenIB, under `kernel`.
+/// would have read logically. Inner nodes and leaves are classified and
+/// merged by the same IbAccumulator as the serial SigGenIB, under `kernel`,
+/// so the dominance count equals the serial one.
 Result<SigGenResult> ParallelSigGenIB(const DataSet& data,
                                       const std::vector<RowId>& skyline,
                                       const MinHashFamily& family, const RTree& tree,

@@ -6,6 +6,8 @@
 // MBR) and the row id; internal entries store the MBR, child page and
 // aggregate count. A trailing FNV-1a checksum covers everything.
 
+#include <string>
+
 #include "common/binio.h"
 #include "rtree/rtree.h"
 
@@ -60,8 +62,18 @@ Result<RTree> RTree::LoadFromFile(const std::string& path) {
     return truncated();
   }
   if (dims == 0) return Status::InvalidArgument("'" + path + "': zero dimensionality");
+  // Check the counts against the file before sizing anything from them:
+  // a node takes at least its 9-byte header, an entry its two corners
+  // plus child, count and row.
+  constexpr uint64_t kNodeHeaderBytes = 4 + 1 + 4;
+  const uint64_t entry_bytes = 2 * sizeof(Coord) * uint64_t{dims} + 4 + 8 + 4;
+  if (node_count > reader.BytesLeft() / kNodeHeaderBytes) {
+    return Status::IoError("'" + path + "': header claims " + std::to_string(node_count) +
+                           " nodes, more than the file holds");
+  }
 
   RTree tree(dims, config);
+  std::vector<Coord> lo, hi;
   for (uint64_t nidx = 0; nidx < node_count; ++nidx) {
     uint32_t id = 0;
     uint8_t is_leaf = 0;
@@ -72,10 +84,18 @@ Result<RTree> RTree::LoadFromFile(const std::string& path) {
     if (id != nidx) {
       return Status::InvalidArgument("'" + path + "': node ids out of order");
     }
+    if (entry_count > reader.BytesLeft() / entry_bytes) {
+      return Status::IoError("'" + path + "': node " + std::to_string(nidx) + " claims " +
+                             std::to_string(entry_count) +
+                             " entries, more than the file holds");
+    }
     const PageId page = tree.AllocateNode(is_leaf != 0);
     RTreeNode& node = tree.Node(page);
     node.entries.reserve(entry_count);
-    std::vector<Coord> lo(dims), hi(dims);
+    if (entry_count > 0) {
+      lo.resize(dims);
+      hi.resize(dims);
+    }
     for (uint32_t eidx = 0; eidx < entry_count; ++eidx) {
       RTreeEntry e;
       for (Dim i = 0; i < dims; ++i) {

@@ -22,6 +22,7 @@
 #include "engine/query_context.h"
 #include "engine/planner.h"
 #include "kernels/dominance_kernel.h"
+#include "kernels/skyline_blocks.h"
 #include "kernels/tile_view.h"
 #include "minhash/siggen.h"
 #include "parallel/parallel_ops.h"
@@ -372,6 +373,41 @@ TEST_P(KernelParityTest, SkylineAlgorithmsMatchScalar) {
   }
 }
 
+// SigGen-IF's charge recomputed from its blocks: per non-skyline row,
+// every corner row, plus the rows of each tile whose corner dominates the
+// row (every tile's rows when the blocks have no corner layer).
+uint64_t BlockWalkChecks(const DataSet& data, const std::vector<RowId>& skyline) {
+  const SkylineBlocks blocks = SkylineBlocks::Build(data, skyline);
+  std::vector<bool> is_skyline(data.size(), false);
+  for (RowId s : skyline) is_skyline[s] = true;
+  auto corner_dominates = [&](const TileView& corners, size_t k,
+                              std::span<const Coord> p) {
+    bool strict = false;
+    for (size_t d = 0; d < corners.dims; ++d) {
+      if (corners.at(k, d) > p[d]) return false;
+      if (corners.at(k, d) < p[d]) strict = true;
+    }
+    return strict;
+  };
+  uint64_t checks = 0;
+  for (RowId r = 0; r < data.size(); ++r) {
+    if (is_skyline[r]) continue;
+    if (blocks.corners().empty()) {
+      for (const Tile& tile : blocks.tiles()) checks += tile.rows();
+      continue;
+    }
+    for (const Tile& corners : blocks.corners()) {
+      checks += corners.rows();
+      for (size_t k = 0; k < corners.rows(); ++k) {
+        if (corner_dominates(corners.view(), k, data.row(r))) {
+          checks += blocks.tiles()[corners.id(k)].rows();
+        }
+      }
+    }
+  }
+  return checks;
+}
+
 TEST_P(KernelParityTest, SigGenIfMatchesScalarExactly) {
   const DataSet data = GenerateWorkload(GetParam(), 2000, 4, 17).value();
   const auto skyline = SkylineSFS(data).rows;
@@ -386,12 +422,14 @@ TEST_P(KernelParityTest, SigGenIfMatchesScalarExactly) {
         ASSERT_EQ(batched.signatures.at(j, i), scalar.signatures.at(j, i));
       }
     }
-    // The IF pass is exhaustive — no early exits for batching to forgo —
-    // so even the dominance counts agree exactly: (n - m) * m.
+    // Every kernel walks the same blocks with no early exits for batching
+    // to forgo, so even the dominance counts agree exactly.
     EXPECT_EQ(batched.dominance_checks, scalar.dominance_checks);
   }
-  EXPECT_EQ(scalar.dominance_checks,
-            (data.size() - skyline.size()) * skyline.size());
+  EXPECT_EQ(scalar.dominance_checks, BlockWalkChecks(data, skyline));
+  // Corner pruning never costs more than the exhaustive scan here.
+  EXPECT_LE(scalar.dominance_checks,
+            uint64_t{data.size() - skyline.size()} * skyline.size());
 }
 
 TEST_P(KernelParityTest, GammaSetsMatchScalar) {
@@ -498,7 +536,7 @@ TEST(PooledCountingTest, ParallelSigGenIfReportsSerialCounts) {
   for (const DomKernel kernel : kAllKernels) {
     const auto serial = SigGenIF(data, skyline, family, kernel).value();
     const auto pooled = ParallelSigGenIF(data, skyline, family, pool, kernel).value();
-    // The IF pass does the same (n - m) x m work however it is sharded.
+    // The IF pass walks the same blocks however it is sharded.
     EXPECT_GT(pooled.dominance_checks, 0u);
     EXPECT_EQ(pooled.dominance_checks, serial.dominance_checks);
     EXPECT_EQ(pooled.domination_scores, serial.domination_scores);
@@ -610,7 +648,7 @@ TEST(KernelPlanTest, PooledStagesReportSerialMatchingDominanceChecks) {
   // Before the harvest fix, pooled fingerprint stages reported 0 checks.
   EXPECT_GT(pooled.report.skyline_phase.dominance_checks, 0u);
   EXPECT_GT(pooled.report.fingerprint_phase.dominance_checks, 0u);
-  // The IF fingerprint pass is exhaustive: pooled == serial exactly.
+  // The IF fingerprint pass walks the same blocks: pooled == serial exactly.
   EXPECT_EQ(pooled.report.fingerprint_phase.dominance_checks,
             serial.report.fingerprint_phase.dominance_checks);
   // Default plans are batched (simd, or tiled without a vector ISA); with

@@ -124,6 +124,24 @@ TEST(DataSetIoTest, MissingFileAndBadMagic) {
   std::remove(path.c_str());
 }
 
+TEST(DataSetIoTest, OversizedHeaderIsIoErrorBeforeAllocating) {
+  // A 20-byte SKYDDAT1 header claiming dims = 2^20 and n = 2^40: dims * n
+  // wraps to 2^60 coordinates. The loader must compare the counts with the
+  // file's bytes and return IoError instead of letting the allocation throw.
+  const std::string path = TempPath("dataset_oversized.skyd");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write("SKYDDAT1", 8);
+    const uint32_t dims = uint32_t{1} << 20;
+    const uint64_t n = uint64_t{1} << 40;
+    for (int b = 0; b < 4; ++b) out.put(static_cast<char>((dims >> (8 * b)) & 0xff));
+    for (int b = 0; b < 8; ++b) out.put(static_cast<char>((n >> (8 * b)) & 0xff));
+  }
+  auto loaded = LoadDataSet(path);
+  EXPECT_TRUE(loaded.status().IsIoError()) << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST(DataSetIoTest, TruncationDetected) {
   const std::string path = TempPath("dataset_trunc.skyd");
   const DataSet data = GenerateIndependent(500, 3, 89);
@@ -203,6 +221,44 @@ TEST(RTreeIoTest, CorruptedFileRejected) {
 
 TEST(RTreeIoTest, MissingFileIsIoError) {
   EXPECT_TRUE(RTree::LoadFromFile("/nonexistent/tree.skyd").status().IsIoError());
+}
+
+// Writes an R-tree file header (dims, page size 4096, fill 0.4, cache 0.2,
+// size 1, root 0, height 1, `node_count` nodes) and one leaf node header
+// claiming `entry_count` entries, with a valid checksum but no entries.
+void WriteTreeHeader(const std::string& path, uint32_t dims, uint64_t node_count,
+                     uint32_t entry_count) {
+  const char magic[8] = {'S', 'K', 'Y', 'D', 'R', 'T', 'R', '1'};
+  BinaryWriter writer(path, magic);
+  writer.WriteU32(dims);
+  writer.WriteU32(4096);
+  writer.WriteDouble(0.4);
+  writer.WriteDouble(0.2);
+  writer.WriteU64(1);
+  writer.WriteU32(0);
+  writer.WriteU32(1);
+  writer.WriteU64(node_count);
+  writer.WriteU32(0);
+  writer.WriteU8(1);
+  writer.WriteU32(entry_count);
+  ASSERT_TRUE(writer.Finish().ok());
+}
+
+TEST(RTreeIoTest, OversizedCountsAreIoErrorBeforeAllocating) {
+  // Each count is checked against the bytes left in the file, so none of
+  // these headers can size an allocation: a node claiming 2^32 - 1
+  // entries, a file claiming 2^62 nodes, and 2^31 dimensions.
+  const std::string path = TempPath("rtree_oversized.skyd");
+  WriteTreeHeader(path, 2, 1, ~uint32_t{0});
+  auto loaded = RTree::LoadFromFile(path);
+  EXPECT_TRUE(loaded.status().IsIoError()) << loaded.status().ToString();
+  WriteTreeHeader(path, 2, uint64_t{1} << 62, 1);
+  loaded = RTree::LoadFromFile(path);
+  EXPECT_TRUE(loaded.status().IsIoError()) << loaded.status().ToString();
+  WriteTreeHeader(path, uint32_t{1} << 31, 1, 1);
+  loaded = RTree::LoadFromFile(path);
+  EXPECT_TRUE(loaded.status().IsIoError()) << loaded.status().ToString();
+  std::remove(path.c_str());
 }
 
 // --------------------------------------------------------------------------
