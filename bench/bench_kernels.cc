@@ -55,8 +55,8 @@
 // ceiling — node corners are R-tree siblings, so most skyline tiles
 // hold no row that could dominate any of them and the whole (node, tile)
 // pair retires in one sweep, where per-entry pays one sweep per
-// undecided corner; the ratio is that screen. --bbs-json writes the grid
-// to BENCH_bbs.json.
+// undecided corner; the ratio is that screen. --bbs-json <path> writes the
+// grid there (nothing is written without it).
 
 #include <algorithm>
 #include <cmath>
@@ -352,11 +352,12 @@ uint64_t CornerTileReplay(const BbsWorkload& w, const TileSet& sky,
 int Run(int argc, char** argv) {
   BenchEnv env;
   std::string json_path = "BENCH_kernels.json";
-  std::string bbs_json_path = "BENCH_bbs.json";
+  std::string bbs_json_path;
   env.flags().AddString("json", &json_path,
                         "write the flavour x workload x d grid to this file");
   env.flags().AddString("bbs-json", &bbs_json_path,
-                        "write the BBS node-prune micro grid to this file");
+                        "write the BBS node-prune micro grid to this file "
+                        "(empty = do not write it)");
   if (!env.Init(argc, argv,
                 "Dominance kernels: scalar vs tiled vs simd sweeps for "
                 "SkylineSFS, SigGen-IF, and a FilterDominators micro",

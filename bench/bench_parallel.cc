@@ -1,6 +1,7 @@
 // Morsel-scheduler scaling curves: the three morselized hot paths —
-// SigGen-IF, the pooled skyline, and the greedy k-MMDP selection — timed
-// at 1/2/4/8 pool threads across IND / CORR / ANT at d = 4, 8, 12.
+// SigGenIF, SkylineSFS and the greedy k-MMDP selection, each handed a
+// ThreadPool* — timed at 1/2/4/8 pool threads across IND / CORR / ANT at
+// d = 4, 8, 12.
 //
 // Expected shape: SigGen-IF is the embarrassingly parallel pass (one
 // exhaustive dominance sweep per data row, rows partitioned into morsels)
@@ -30,7 +31,6 @@
 #include "diversify/dispersion.h"
 #include "minhash/minhash.h"
 #include "minhash/siggen.h"
-#include "parallel/parallel_ops.h"
 #include "parallel/thread_pool.h"
 #include "skyline/skyline.h"
 
@@ -136,12 +136,12 @@ int Run(int argc, char** argv) {
         ThreadPool pool(threads);
 
         const double t_siggen = BestOf([&] {
-          (void)ParallelSigGenIF(data, skyline, family, pool).value();
+          (void)SigGenIF(data, skyline, family, DomKernel::kSimd, &pool).value();
         });
-        const double t_skyline = BestOf([&] { (void)ParallelSkyline(data, pool); });
+        const double t_skyline =
+            BestOf([&] { (void)SkylineSFS(data, DomKernel::kSimd, &pool); });
         const double t_select = BestOf([&] {
-          (void)ParallelSelectDiverseSet(m, k, distance, sig.domination_scores, pool)
-              .value();
+          (void)SelectDiverseSet(m, k, distance, sig.domination_scores, &pool).value();
         });
 
         if (threads == 1) {

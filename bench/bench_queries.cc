@@ -28,7 +28,6 @@
 #include "common/timer.h"
 #include "core/data_view.h"
 #include "core/sky_query.h"
-#include "parallel/parallel_ops.h"
 #include "parallel/thread_pool.h"
 #include "skyline/skyline.h"
 
@@ -188,7 +187,7 @@ int Run(int argc, char** argv) {
         size_t skyline = 0;
         const double secs = BestOf([&] {
           skyline =
-              ShardedSkyline(view, shards, &pool, DomKernel::kSimd).rows.size();
+              SkylineSharded(view, shards, DomKernel::kSimd, &pool).rows.size();
         });
         if (shards == 1) serial_secs = secs;
         const double speedup = secs == 0.0 ? 1.0 : serial_secs / secs;

@@ -18,7 +18,7 @@ namespace skydiver {
 struct PhaseMetrics {
   double cpu_seconds = 0.0;
   IoStats io;
-  /// Dominance tests the stage performed (pooled backends fold their
+  /// Dominance tests the stage performed (pooled stages fold their
   /// workers' counts back into the running thread, so this covers them).
   uint64_t dominance_checks = 0;
   /// The subset of `dominance_checks` charged by tiled kernel sweeps

@@ -58,17 +58,6 @@ struct RoundBest {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-// Claims [0, m) one at a time on the calling thread, or on `pool`.
-void ForEachClaim(ThreadPool* pool, MorselQueue& queue,
-                  const std::function<void(const MorselQueue::Claim&)>& body) {
-  if (pool != nullptr) {
-    RunMorsels(*pool, queue, body);
-    return;
-  }
-  MorselQueue::Claim claim;
-  while (queue.Next(&claim)) body(claim);
-}
-
 DistanceRowFn AgreementDistanceRow(AgreementDistance distance) {
   return [distance = std::move(distance)](size_t pivot, size_t begin, size_t end,
                                           const uint8_t* taken, double* row) {
@@ -127,13 +116,12 @@ Result<DispersionResult> GreedyMaxMin(size_t m, size_t k, const DistanceRowFn& r
 
   MorselConfig config;
   config.morsel_rows = morsel_rows;
-  const size_t workers = pool != nullptr ? pool->size() : 1;
   while (out.selected.size() < k) {
     const size_t newest = out.selected.back();
-    MorselQueue queue(m, workers, config);
+    MorselQueue queue(m, MorselWorkers(pool), config);
     std::vector<RoundBest> bests(queue.slots(), RoundBest{m, kNegInf, kNegInf});
     std::vector<uint64_t> evaluations(queue.slots(), 0);
-    ForEachClaim(pool, queue, [&](const MorselQueue::Claim& c) {
+    RunMorsels(pool, queue, [&](const MorselQueue::Claim& c) {
       const auto begin = static_cast<size_t>(c.begin);
       const auto end = static_cast<size_t>(c.end);
       row(newest, begin, end, taken.data(), distances.data());
@@ -174,15 +162,17 @@ Result<DispersionResult> SelectDiverseSet(size_t m, size_t k,
 }
 
 Result<DispersionResult> SelectDiverseSet(size_t m, size_t k, const DistanceFn& distance,
-                                          const std::vector<uint64_t>& domination_scores) {
+                                          const std::vector<uint64_t>& domination_scores,
+                                          ThreadPool* pool, size_t morsel_rows) {
   SKYDIVER_RETURN_NOT_OK(ValidateScores(m, domination_scores));
-  return GreedyMaxMin(m, k, PairDistanceRow(distance), RawScores(domination_scores),
-                      nullptr);
+  return GreedyMaxMin(m, k, PairDistanceRow(distance), RawScores(domination_scores), pool,
+                      morsel_rows);
 }
 
 Result<DispersionResult> SelectDiverseSet(size_t m, size_t k, const DistanceFn& distance,
-                                          const ScoreFn& score) {
-  return GreedyMaxMin(m, k, PairDistanceRow(distance), score, nullptr);
+                                          const ScoreFn& score, ThreadPool* pool,
+                                          size_t morsel_rows) {
+  return GreedyMaxMin(m, k, PairDistanceRow(distance), score, pool, morsel_rows);
 }
 
 Result<DispersionResult> SelectMaxSumSet(size_t m, size_t k, const DistanceFn& distance,

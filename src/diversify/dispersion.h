@@ -21,7 +21,7 @@
 //     one per-ISA AgreeRow pass over the claim's columns;
 //   * a per-pair DistanceFn (exact Jaccard for Simple-Greedy, anything a
 //     caller supplies), evaluated pair by pair in ascending index order —
-//     SelectDiverseSet and ParallelSelectDiverseSet are this adapter.
+//     the DistanceFn overloads of SelectDiverseSet are this adapter.
 
 #pragma once
 
@@ -89,15 +89,21 @@ Result<DispersionResult> SelectDiverseSet(size_t m, size_t k,
                                           const std::vector<uint64_t>& domination_scores,
                                           ThreadPool* pool, size_t morsel_rows = 0);
 
-/// GreedyMaxMin over a per-pair distance, inline.
+/// GreedyMaxMin over a per-pair distance, on `pool` when it is non-null
+/// (then `distance` must be safe to call concurrently). Bit-identical at
+/// every thread count and morsel size: same picks, min_pairwise and
+/// distance_evaluations.
 Result<DispersionResult> SelectDiverseSet(size_t m, size_t k, const DistanceFn& distance,
-                                          const ScoreFn& score);
+                                          const ScoreFn& score, ThreadPool* pool = nullptr,
+                                          size_t morsel_rows = 0);
 
 /// Convenience overload for the common case across the engine, sessions
 /// and the streaming monitor: scores given as the raw |Γ| domination
 /// counts, one per skyline point (must have at least `m` entries).
 Result<DispersionResult> SelectDiverseSet(size_t m, size_t k, const DistanceFn& distance,
-                                          const std::vector<uint64_t>& domination_scores);
+                                          const std::vector<uint64_t>& domination_scores,
+                                          ThreadPool* pool = nullptr,
+                                          size_t morsel_rows = 0);
 
 /// Greedy for the Max-Sum variant (k-MSDP): adds the point maximizing the
 /// SUM of distances to the selected set. Provided for the paper's

@@ -8,7 +8,6 @@
 #include "engine/snapshot.h"
 #include "lsh/lsh.h"
 #include "minhash/siggen.h"
-#include "parallel/parallel_ops.h"
 #include "rtree/disk_rtree.h"
 #include "rtree/rtree.h"
 #include "skyline/skyline.h"
@@ -38,17 +37,6 @@ class Stage {
   virtual Status Run(QueryContext& ctx, PipelineState& state, PhaseMetrics* metrics) = 0;
 };
 
-// Requires the pooled backends' pool to exist (the planner only emits
-// pooled backends for pooled configs, so a miss means plan/context skew).
-Result<ThreadPool*> RequirePool(QueryContext& ctx, const char* backend) {
-  ThreadPool* pool = ctx.pool();
-  if (pool == nullptr) {
-    return Status::Internal(std::string(backend) +
-                            " requires a pooled Runtime (config.threads >= 1)");
-  }
-  return pool;
-}
-
 // Computes (or adopts) the skyline rows and charges the phase's I/O.
 class SkylineStage : public Stage {
  public:
@@ -67,25 +55,15 @@ class SkylineStage : public Stage {
         return ValidateSkylineRows(skyline, state.data.size());
       }
       case SkylineBackend::kSfs: {
-        skyline = SkylineSFS(state.view, kernel_).rows;
-        ChargeSequentialScan(state, metrics);
-        return Status::OK();
-      }
-      case SkylineBackend::kParallelSfs: {
-        auto pool = RequirePool(ctx, "parallel-sfs");
-        if (!pool.ok()) return pool.status();
-        skyline = ParallelSkyline(state.view, **pool, kernel_, morsel_rows_).rows;
-        // Same logical cost as the serial scan: every shard together reads
-        // the data file exactly once.
+        // Pooled or not, the claims together read the data file once.
+        skyline = SkylineSFS(state.view, kernel_, ctx.pool(), morsel_rows_).rows;
         ChargeSequentialScan(state, metrics);
         return Status::OK();
       }
       case SkylineBackend::kSharded: {
-        // Pooled when a pool exists, serial otherwise — the result set is
-        // merge-order independent either way.
-        skyline = ShardedSkyline(state.view, state.view.query().shards, ctx.pool(),
-                                 kernel_)
-                      .rows;
+        skyline =
+            SkylineSharded(state.view, state.view.query().shards, kernel_, ctx.pool())
+                .rows;
         ChargeSequentialScan(state, metrics);
         return Status::OK();
       }
@@ -123,9 +101,10 @@ class SkylineStage : public Stage {
 };
 
 // Builds the MinHash signatures and exact domination scores (Phase 1).
-// Every backend takes the plan's kernel: the IF passes sweep corner-pruned
-// skyline blocks with it, the IB descents classify inner-entry corners and
-// leaf points with it over per-node candidate tiles.
+// Every backend takes the plan's kernel and the context's pool: the IF
+// pass sweeps corner-pruned skyline blocks with it, the IB descent
+// classifies inner-entry corners and leaf points with it over per-node
+// candidate tiles.
 class FingerprintStage : public Stage {
  public:
   FingerprintStage(FingerprintBackend backend, DomKernel kernel, size_t morsel_rows)
@@ -135,30 +114,18 @@ class FingerprintStage : public Stage {
   Status Run(QueryContext& ctx, PipelineState& state, PhaseMetrics* metrics) override {
     const auto& skyline = state.out.report.skyline;
     Result<SigGenResult> result = Status::Internal("unset");
+    ThreadPool* pool = ctx.pool();
     switch (backend_) {
       case FingerprintBackend::kSigGenIf:
-        result = SigGenIF(state.data, skyline, state.family, kernel_);
+        result = SigGenIF(state.data, skyline, state.family, kernel_, pool, morsel_rows_);
         break;
-      case FingerprintBackend::kParallelIf: {
-        auto pool = RequirePool(ctx, "parallel-siggen-if");
-        if (!pool.ok()) return pool.status();
-        result = ParallelSigGenIF(state.data, skyline, state.family, **pool, kernel_,
-                                  morsel_rows_);
-        break;
-      }
       case FingerprintBackend::kSigGenIb:
-        result = SigGenIB(state.data, skyline, state.family, *state.res.tree, kernel_);
-        break;
-      case FingerprintBackend::kParallelIb: {
-        auto pool = RequirePool(ctx, "parallel-siggen-ib");
-        if (!pool.ok()) return pool.status();
-        result = ParallelSigGenIB(state.data, skyline, state.family, *state.res.tree,
-                                  **pool, kernel_);
-        break;
-      }
-      case FingerprintBackend::kSigGenIbDisk:
         result =
-            SigGenIB(state.data, skyline, state.family, *state.res.disk_tree, kernel_);
+            SigGenIB(state.data, skyline, state.family, *state.res.tree, kernel_, pool);
+        break;
+      case FingerprintBackend::kSigGenIbDisk:
+        result = SigGenIB(state.data, skyline, state.family, *state.res.disk_tree,
+                          kernel_, pool);
         break;
     }
     if (!result.ok()) return result.status();

@@ -6,9 +6,12 @@
 // into a `Plan`: one backend per pipeline stage. The `Engine` (engine.h)
 // then executes the plan with uniform per-stage accounting. Separating
 // algorithm choice from execution plumbing follows the framework layering
-// of the paper (skyline -> SigGen fingerprinting -> greedy k-MMDP), and
-// makes the parallel backends first-class plan choices instead of a
-// separate API.
+// of the paper (skyline -> SigGen fingerprinting -> greedy k-MMDP).
+//
+// A backend names an algorithm, not a thread count: each operator is one
+// function taking a `ThreadPool*`, and the engine hands every stage the
+// context's pool (null for a serial runtime) with the plan's morsel size.
+// The output is the same at every thread count.
 
 #pragma once
 
@@ -63,7 +66,7 @@ struct SkyDiverConfig {
   /// bit-identical across all flavours; only the dominance-check
   /// accounting differs (see kernels/dominance_kernel.h).
   DomKernel kernel = DomKernel::kSimd;
-  /// Rows per morsel for the pooled backends (parallel/morsel.h). 0 = auto
+  /// Rows per morsel for pooled stages (parallel/morsel.h). 0 = auto
   /// (kDefaultMorselRows); explicit values must be tile-aligned (a
   /// multiple of kTileRows = 64) and at most kMaxMorselRows. Ignored by
   /// serial plans. Reductions are bit-identical for every value; this is
@@ -110,18 +113,18 @@ struct PlanResources {
 /// Backend choices per stage.
 enum class SkylineBackend {
   kPrecomputed,  ///< Caller-supplied rows, used verbatim (sorted).
-  kSfs,          ///< Sort-filter-skyline over the data file.
-  kParallelSfs,  ///< Sharded SFS + merge on the thread pool (== kSfs output).
+  kSfs,          ///< Sort-filter-skyline over the data file; pooled: local
+                 ///< skylines per morsel claim + one merge pass.
   kSharded,      ///< Per-shard SFS + D&C cross-filter merge (query.shards).
   kBbs,          ///< Branch-and-bound over the in-memory aggregate tree.
   kBbsDisk,      ///< BBS over the file-backed tree (real preads).
 };
 
 enum class FingerprintBackend {
-  kSigGenIf,      ///< Index-free sequential pass (paper Fig. 3).
-  kParallelIf,    ///< Sharded IF, min-merged (bit-identical to kSigGenIf).
-  kSigGenIb,      ///< Aggregate-tree descent (paper Fig. 4).
-  kParallelIb,    ///< Subtree-parallel IB (deterministic DFS permutation).
+  kSigGenIf,      ///< Index-free sequential pass (paper Fig. 3); pooled:
+                  ///< morsel claims min-merged in slot order.
+  kSigGenIb,      ///< Depth-first aggregate-tree descent (paper Fig. 4);
+                  ///< pooled: the top levels split into subtree tasks.
   kSigGenIbDisk,  ///< IB over the file-backed tree.
 };
 
@@ -132,13 +135,13 @@ enum class SelectBackend {
   kBruteForce,  ///< Exact k-MMDP over estimated Jaccard distances.
 };
 
-/// A resolved pipeline: one backend per stage plus the pool width and the
-/// dominance kernel the batched stages run with.
+/// A resolved pipeline: one backend per stage plus the pool width, morsel
+/// size and dominance kernel every stage runs with.
 struct Plan {
   SkylineBackend skyline = SkylineBackend::kSfs;
   FingerprintBackend fingerprint = FingerprintBackend::kSigGenIf;
   SelectBackend select = SelectBackend::kMinHash;
-  size_t threads = 0;  ///< Worker threads the pooled backends will use.
+  size_t threads = 0;  ///< Pool workers every stage may use (0 = inline).
   /// Shape-canonicalized copy of the config's SkyQuery (CanonicalShape at
   /// plan time; the engine finishes normalization against the data's
   /// dimensionality when it builds the DataView).
@@ -146,9 +149,9 @@ struct Plan {
   /// Dominance kernel (scalar|tiled|simd); the planner never emits kSimd
   /// unless the host's vector ISA probe succeeded.
   DomKernel kernel = DomKernel::kTiled;
-  /// Resolved morsel size for the pooled backends: the config value (or
+  /// Resolved morsel size of the pooled stages: the config value (or
   /// kDefaultMorselRows when the config said auto) on pooled plans, 0 on
-  /// serial plans (no morsel dispatch happens).
+  /// serial plans (the stages run inline).
   size_t morsel_rows = 0;
   /// Disk-path execution shape, copied from the supplied DiskRTree so the
   /// plan (and ExplainPlan) records what the disk stages will actually do.

@@ -14,7 +14,6 @@ const char* ToString(SkylineBackend backend) {
   switch (backend) {
     case SkylineBackend::kPrecomputed: return "precomputed";
     case SkylineBackend::kSfs: return "sfs";
-    case SkylineBackend::kParallelSfs: return "parallel-sfs";
     case SkylineBackend::kSharded: return "sharded";
     case SkylineBackend::kBbs: return "bbs";
     case SkylineBackend::kBbsDisk: return "bbs-disk";
@@ -25,9 +24,7 @@ const char* ToString(SkylineBackend backend) {
 const char* ToString(FingerprintBackend backend) {
   switch (backend) {
     case FingerprintBackend::kSigGenIf: return "siggen-if";
-    case FingerprintBackend::kParallelIf: return "parallel-siggen-if";
     case FingerprintBackend::kSigGenIb: return "siggen-ib";
-    case FingerprintBackend::kParallelIb: return "parallel-siggen-ib";
     case FingerprintBackend::kSigGenIbDisk: return "siggen-ib-disk";
   }
   return "?";
@@ -127,26 +124,18 @@ Result<Plan> Planner::Resolve(const SkyDiverConfig& config,
   } else if (resources.tree != nullptr) {
     plan.skyline = SkylineBackend::kBbs;
   } else {
-    plan.skyline = pooled ? SkylineBackend::kParallelSfs : SkylineBackend::kSfs;
+    plan.skyline = SkylineBackend::kSfs;
   }
 
   const bool use_index =
       config.siggen == SigGenMode::kIndexBased ||
       (config.siggen == SigGenMode::kAuto && have_index);
-  if (use_index) {
-    if (resources.disk_tree != nullptr) {
-      // The disk IB descent stays serial (one BFS over the page file); the
-      // pinned PageCache is thread-safe now, but the pool's disk-path job
-      // is async child prefetch, not a parallel traversal. The pool, if
-      // any, still serves the other stages.
-      plan.fingerprint = FingerprintBackend::kSigGenIbDisk;
-    } else {
-      plan.fingerprint =
-          pooled ? FingerprintBackend::kParallelIb : FingerprintBackend::kSigGenIb;
-    }
+  if (!use_index) {
+    plan.fingerprint = FingerprintBackend::kSigGenIf;
+  } else if (resources.disk_tree != nullptr) {
+    plan.fingerprint = FingerprintBackend::kSigGenIbDisk;
   } else {
-    plan.fingerprint =
-        pooled ? FingerprintBackend::kParallelIf : FingerprintBackend::kSigGenIf;
+    plan.fingerprint = FingerprintBackend::kSigGenIb;
   }
 
   if (!run_selection) {
@@ -225,9 +214,6 @@ void DebugValidatePlan(const Plan& plan, const PlanResources& resources) {
                            plan.disk_prefetch == resources.disk_tree->prefetch_enabled()),
                       "plan disk shape disagrees with the supplied disk tree");
       break;
-    case SkylineBackend::kParallelSfs:
-      SKYDIVER_DCHECK(pooled, "pooled skyline backend in a serial plan");
-      break;
     case SkylineBackend::kSharded:
       SKYDIVER_DCHECK(plan.query.sharded(),
                       "sharded skyline backend without query.shards > 1");
@@ -241,16 +227,9 @@ void DebugValidatePlan(const Plan& plan, const PlanResources& resources) {
     case FingerprintBackend::kSigGenIb:
       SKYDIVER_DCHECK(resources.tree != nullptr, "IB backend without an R-tree");
       break;
-    case FingerprintBackend::kParallelIb:
-      SKYDIVER_DCHECK(resources.tree != nullptr, "IB backend without an R-tree");
-      SKYDIVER_DCHECK(pooled, "pooled fingerprint backend in a serial plan");
-      break;
     case FingerprintBackend::kSigGenIbDisk:
       SKYDIVER_DCHECK(resources.disk_tree != nullptr,
                       "disk IB backend without a disk tree");
-      break;
-    case FingerprintBackend::kParallelIf:
-      SKYDIVER_DCHECK(pooled, "pooled fingerprint backend in a serial plan");
       break;
     case FingerprintBackend::kSigGenIf:
       break;
@@ -277,10 +256,9 @@ std::string ExplainPlan(const Plan& plan, const SkyDiverConfig& config) {
       out << " (caller-supplied rows, phase skipped)";
       break;
     case SkylineBackend::kSfs:
-      out << " (sort-filter scan, sequential I/O charge)";
-      break;
-    case SkylineBackend::kParallelSfs:
-      out << " (" << plan.threads << "-way shard + merge, == sfs output)";
+      out << " (sort-filter scan, sequential I/O charge";
+      if (plan.threads >= 1) out << "; morsel-local skylines + merge pass";
+      out << ")";
       break;
     case SkylineBackend::kSharded:
       out << " (" << plan.query.shards
@@ -302,20 +280,18 @@ std::string ExplainPlan(const Plan& plan, const SkyDiverConfig& config) {
   switch (plan.fingerprint) {
     case FingerprintBackend::kSigGenIf:
       out << ", one sequential data pass";
-      break;
-    case FingerprintBackend::kParallelIf:
-      out << ", sharded min-merge, == siggen-if output";
+      if (plan.threads >= 1) out << ", morsel slots min-merged";
       break;
     case FingerprintBackend::kSigGenIb:
-      out << ", aggregate-tree descent with bulk MBR updates";
-      break;
-    case FingerprintBackend::kParallelIb:
-      out << ", subtree-parallel, deterministic DFS permutation";
+      out << ", depth-first aggregate-tree descent with bulk MBR updates";
       break;
     case FingerprintBackend::kSigGenIbDisk:
-      out << ", tree descent through the pinned page cache, backend="
+      out << ", depth-first descent through the pinned page cache, backend="
           << ToString(plan.disk_backend);
       break;
+  }
+  if (plan.threads >= 1 && plan.fingerprint != FingerprintBackend::kSigGenIf) {
+    out << ", top levels split into subtree tasks";
   }
   out << ")\n";
 

@@ -68,10 +68,10 @@ std::string ExplainPlan(const Plan& plan, const SkyDiverConfig& config);
 
 /// Debug-only verifier of planner postconditions: every resource a backend
 /// needs is present (BBS => tree, disk BBS/IB => disk tree, precomputed =>
-/// rows), pooled backends appear only in pooled plans, and the kernel is a
-/// known value. Compiled out under NDEBUG; the engine runs it on every
-/// plan it is handed, so hand-rolled plans get the same scrutiny as
-/// planner output.
+/// rows), pooled plans carry a tile-aligned morsel size and serial plans
+/// none, and the kernel is a known value. Compiled out under NDEBUG; the
+/// engine runs it on every plan it is handed, so hand-rolled plans get the
+/// same scrutiny as planner output.
 void DebugValidatePlan(const Plan& plan, const PlanResources& resources);
 
 }  // namespace skydiver

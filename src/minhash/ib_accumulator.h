@@ -1,10 +1,9 @@
-// The signature updates of SigGen-IB (paper Fig. 4), shared by the serial
-// traversal (minhash/siggen.cc, over RTree and DiskRTree) and the
-// subtree-parallel one (parallel/parallel_ops.cc). The traversals decide
-// WHICH row ids reach which columns; this class does the hashing,
-// classification of leaf points and merging, so every descent runs the
-// same kernels. Inner nodes are classified over the same candidate tiles
-// (CandidateTiles::SplitNode).
+// The signature updates of SigGen-IB (paper Fig. 4), one accumulator per
+// descent: the inline one, or each pool slot's (minhash/siggen.cc, over
+// RTree and DiskRTree). The descent decides WHICH row ids reach which
+// columns; this class does the hashing, classification of leaf points and
+// merging, so every descent runs the same kernels. Inner nodes are
+// classified over the same candidate tiles (CandidateTiles::SplitNode).
 //
 // Row ids are assigned by the caller: a leaf's points hold base, base+1,
 // ... in entry order, and a fully dominated subtree the `count` ids from

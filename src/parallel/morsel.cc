@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/dominance.h"
+
 namespace skydiver {
 
 MorselQueue::MorselQueue(uint64_t n, size_t workers, MorselConfig config) : n_(n) {
@@ -43,7 +45,7 @@ bool MorselQueue::Next(Claim* out) {
   return true;
 }
 
-void RunMorsels(ThreadPool& pool, MorselQueue& queue,
+void RunMorsels(ThreadPool* pool, MorselQueue& queue,
                 const std::function<void(const MorselQueue::Claim&)>& body,
                 const std::function<void(const MorselQueue::Claim&)>* stall) {
   if (queue.slots() == 0) return;
@@ -54,10 +56,18 @@ void RunMorsels(ThreadPool& pool, MorselQueue& queue,
       body(claim);
     }
   };
-  const size_t workers = std::min(std::max<size_t>(1, pool.size()), queue.slots());
+  if (pool == nullptr) {
+    drain();
+    return;
+  }
+  (void)pool->HarvestDominanceChecks();  // drop leftovers from earlier pool users
+  const size_t workers = std::min(std::max<size_t>(1, pool->size()), queue.slots());
   std::vector<std::function<void()>> tasks(workers, std::function<void()>(drain));
-  if (!pool.SubmitBatch(tasks)) drain();  // pool shutting down: finish inline
-  pool.Wait();
+  if (!pool->SubmitBatch(tasks)) drain();  // pool shutting down: finish inline
+  pool->Wait();
+  const DominanceHarvest h = pool->HarvestDominanceChecks();
+  DominanceCounter::Count() += h.total;
+  DominanceCounter::TiledCount() += h.tiled;
 }
 
 }  // namespace skydiver

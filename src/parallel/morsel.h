@@ -125,19 +125,32 @@ class SKYDIVER_CAPABILITY("mutex") MorselQueue {
   Stats stats_ SKYDIVER_GUARDED_BY(mutex_);
 };
 
-/// Drains `queue` on `pool`: spawns min(pool.size(), queue.slots()) worker
-/// tasks, each looping `while (queue.Next(&c)) body(c);`, and waits for
-/// completion. `body` must be safe to run concurrently on distinct claims
-/// (claims never share rows or slots). If the pool is shutting down the
-/// queue is drained inline on the calling thread, so the reduction is
-/// always complete when this returns.
+/// Drains `queue`, running `body` once per claim: inline on the calling
+/// thread when `pool` is null, else on min(pool->size(), queue.slots())
+/// pool tasks, each looping `while (queue.Next(&c)) body(c);`, and waits
+/// for completion. `body` must be safe to run concurrently on distinct
+/// claims (claims never share rows or slots). If the pool is shutting down
+/// the queue is drained inline, so the reduction is always complete when
+/// this returns.
+///
+/// A pooled run keeps the dominance-count protocol of
+/// ThreadPool::HarvestDominanceChecks: counts earlier users left on the
+/// pool are dropped before the claims run, and the workers' counts are
+/// folded into the calling thread's DominanceCounter after, so callers
+/// measure a pooled run exactly like an inline one.
 ///
 /// `stall` is a test hook run after each claim BEFORE its body — the
 /// determinism stress suite injects random per-claim delays with it to
 /// scramble scheduling order. It must depend only on the claim (never on
 /// thread identity). Pass nullptr outside tests.
-void RunMorsels(ThreadPool& pool, MorselQueue& queue,
+void RunMorsels(ThreadPool* pool, MorselQueue& queue,
                 const std::function<void(const MorselQueue::Claim&)>& body,
                 const std::function<void(const MorselQueue::Claim&)>* stall = nullptr);
+
+/// The worker count to size a MorselQueue with when it is drained on
+/// `pool`: the pool's size, or one when the claims run inline.
+inline size_t MorselWorkers(const ThreadPool* pool) {
+  return pool != nullptr ? pool->size() : 1;
+}
 
 }  // namespace skydiver

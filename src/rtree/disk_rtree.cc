@@ -294,6 +294,12 @@ Result<DiskRTree> DiskRTree::Open(const std::string& path,
                            std::to_string(tree.node_count_) + " node pages)");
   }
 
+  RTreeConfig paging;
+  paging.page_size = tree.page_size_;
+  paging.cache_fraction = options.cache_fraction;
+  if (Status s = ValidateRTreeConfig(paging, tree.dims_); !s.ok()) {
+    return Status::InvalidArgument("'" + path + "': " + s.message());
+  }
   const size_t capacity = std::max<size_t>(
       1, static_cast<size_t>(std::ceil(options.cache_fraction *
                                        static_cast<double>(tree.node_count_))));

@@ -35,6 +35,28 @@ std::vector<size_t> EvenChunks(size_t size, size_t k) {
 
 }  // namespace
 
+Status ValidateRTreeConfig(const RTreeConfig& config, Dim dims) {
+  // Written as negated in-range tests so that NaN, which fails every
+  // comparison, is rejected too.
+  if (!(config.cache_fraction > 0.0 && config.cache_fraction <= 1.0)) {
+    return Status::InvalidArgument("cache fraction " +
+                                   std::to_string(config.cache_fraction) +
+                                   " is outside (0, 1]");
+  }
+  if (!(config.min_fill > 0.0 && config.min_fill <= 0.5)) {
+    return Status::InvalidArgument("minimum fill " + std::to_string(config.min_fill) +
+                                   " is outside (0, 0.5]");
+  }
+  const size_t usable =
+      config.page_size > kNodeHeaderBytes ? config.page_size - kNodeHeaderBytes : 0;
+  if (dims == 0 || usable / InternalEntryBytes(dims) < 2) {
+    return Status::InvalidArgument("page size " + std::to_string(config.page_size) +
+                                   " holds fewer than two entries of " +
+                                   std::to_string(dims) + " dimensions");
+  }
+  return Status::OK();
+}
+
 Mbr RTreeNode::ComputeMbr(Dim dims) const {
   Mbr m(dims);
   for (const auto& e : entries) m.Expand(e.mbr);
@@ -57,6 +79,7 @@ RTree::RTree(Dim dims, RTreeConfig config)
 
 Result<RTree> RTree::BulkLoad(const DataSet& data, RTreeConfig config) {
   if (data.empty()) return Status::InvalidArgument("cannot bulk-load an empty dataset");
+  SKYDIVER_RETURN_NOT_OK(ValidateRTreeConfig(config, data.dims()));
   RTree tree(data.dims(), config);
   tree.BulkLoadInternal(data);
   tree.FinalizeCache();
@@ -65,6 +88,7 @@ Result<RTree> RTree::BulkLoad(const DataSet& data, RTreeConfig config) {
 
 Result<RTree> RTree::InsertLoad(const DataSet& data, RTreeConfig config) {
   if (data.empty()) return Status::InvalidArgument("cannot load an empty dataset");
+  SKYDIVER_RETURN_NOT_OK(ValidateRTreeConfig(config, data.dims()));
   RTree tree(data.dims(), config);
   const RowId n = data.size();
   for (RowId r = 0; r < n; ++r) tree.Insert(data.row(r), r);

@@ -37,6 +37,13 @@ struct RTreeConfig {
   double cache_fraction = 0.2;
 };
 
+/// Checks the values a tree over `dims`-dimensional points pages with:
+/// a page that holds at least two internal entries, `min_fill` in
+/// (0, 0.5] and `cache_fraction` in (0, 1] (NaN fails every range).
+/// Trees built or loaded from a file are checked with it, so a cache is
+/// never sized from a value outside these ranges.
+[[nodiscard]] Status ValidateRTreeConfig(const RTreeConfig& config, Dim dims);
+
 /// One slot of a node: a child subtree (internal) or a data point (leaf).
 struct RTreeEntry {
   Mbr mbr;
@@ -92,11 +99,10 @@ class RTree {
   /// possibly a fault).
   const RTreeNode& ReadNode(PageId id) const;
 
-  /// Reads a node WITHOUT touching the buffer pool. The pool is internally
-  /// locked, so ReadNode is also safe for concurrent readers — PeekNode
-  /// additionally skips the pool's lock and its I/O accounting; used by the
-  /// parallel algorithms, where per-access lock traffic would serialize the
-  /// sweep.
+  /// Reads a node WITHOUT touching the buffer pool: no lock, no I/O
+  /// accounting. For serialization and inspection, which are not queries;
+  /// every traversal, pooled ones included, reads through ReadNode (the
+  /// pool is internally locked).
   const RTreeNode& PeekNode(PageId id) const { return store_[id]; }
 
   /// Number of points inside the closed box [lo, hi] — aggregate-aware:

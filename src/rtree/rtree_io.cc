@@ -113,6 +113,11 @@ Result<RTree> RTree::LoadFromFile(const std::string& path) {
     }
   }
   SKYDIVER_RETURN_NOT_OK(reader.VerifyChecksum());
+  // The paging values size the buffer pool (FinalizeCache) and shape the
+  // fill checks below.
+  if (Status s = ValidateRTreeConfig(config, dims); !s.ok()) {
+    return Status::InvalidArgument("'" + path + "': " + s.message());
+  }
   if (root >= tree.store_.size() && node_count > 0) {
     return Status::InvalidArgument("'" + path + "': root page out of range");
   }

@@ -12,8 +12,8 @@
 //
 // Every entry point here is a thin adapter over the execution engine
 // (src/engine/): the Planner resolves the config + resources into a Plan
-// (one backend per stage, pooled backends picked automatically when
-// config.threads >= 1), and the Engine executes it inside a QueryContext.
+// (one backend per stage; config.threads >= 1 runs every stage on a pool
+// with the same output), and the Engine executes it inside a QueryContext.
 // The returned report carries the resolved plan and its ExplainPlan()
 // rendering. Callers needing finer control (fingerprint-only pipelines,
 // shared pools across queries, trace events) can drive the engine

@@ -5,6 +5,7 @@
 
 #include "core/dominance.h"
 #include "kernels/tile_view.h"
+#include "parallel/morsel.h"
 #include "rtree/disk_rtree.h"
 #include "skyline/bbs_scan.h"
 
@@ -176,12 +177,40 @@ SkylineResult SkylineSFSRows(const DataView& view, std::span<const RowId> rows,
   return SkylineResult{std::move(skyline), checks.Delta()};
 }
 
-SkylineResult SkylineSFS(const DataView& view, DomKernel kernel) {
-  return SkylineSFSRows(view, view.rows(), kernel);
+SkylineResult SkylineSFS(const DataView& view, DomKernel kernel, ThreadPool* pool,
+                         size_t morsel_rows) {
+  const std::vector<RowId>& all = view.rows();
+  if (pool == nullptr) return SkylineSFSRows(view, all, kernel);
+  CheckScope checks;
+  // Local skylines per claim. Each claim is a contiguous slice of the
+  // view's (ascending) row list, and slots index the claims (a pure
+  // function of the row range), so the fold below is
+  // scheduling-independent.
+  MorselConfig cfg;
+  cfg.morsel_rows = morsel_rows;
+  MorselQueue queue(all.size(), MorselWorkers(pool), cfg);
+  std::vector<std::vector<RowId>> locals(queue.slots());
+  RunMorsels(pool, queue, [&](const MorselQueue::Claim& c) {
+    locals[c.slot] =
+        SkylineSFSRows(view,
+                       std::span<const RowId>(all).subspan(
+                           static_cast<size_t>(c.begin),
+                           static_cast<size_t>(c.end - c.begin)),
+                       kernel)
+            .rows;
+  });
+  // The union of local skylines is a superset of the global skyline; one
+  // SFS pass over it finishes the job.
+  std::vector<RowId> candidates;
+  for (const auto& l : locals) candidates.insert(candidates.end(), l.begin(), l.end());
+  std::sort(candidates.begin(), candidates.end());
+  std::vector<RowId> out = SkylineSFSRows(view, candidates, kernel).rows;
+  return SkylineResult{std::move(out), checks.Delta()};
 }
 
-SkylineResult SkylineSFS(const DataSet& data, DomKernel kernel) {
-  return SkylineSFS(DataView(data), kernel);
+SkylineResult SkylineSFS(const DataSet& data, DomKernel kernel, ThreadPool* pool,
+                         size_t morsel_rows) {
+  return SkylineSFS(DataView(data), kernel, pool, morsel_rows);
 }
 
 namespace {
@@ -283,28 +312,35 @@ SkylineResult SkylineDC(const DataSet& data, size_t leaf_size, DomKernel kernel)
   return SkylineDC(DataView(data), leaf_size, kernel);
 }
 
-SkylineResult SkylineSharded(const DataView& view, size_t shards, DomKernel kernel) {
+SkylineResult SkylineSharded(const DataView& view, size_t shards, DomKernel kernel,
+                             ThreadPool* pool) {
   CheckScope checks;
   const std::vector<RowId>& all = view.rows();
   if (all.empty()) return SkylineResult{{}, checks.Delta()};
   shards = std::clamp<size_t>(shards, 1, all.size());
   const size_t chunk = (all.size() + shards - 1) / shards;
+  const size_t populated = (all.size() + chunk - 1) / chunk;
 
   // Shard phase: each contiguous chunk's local skyline (absolute row ids).
-  std::vector<std::vector<RowId>> locals;
-  locals.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    const size_t begin = s * chunk;
+  // The claim unit is one shard (morsel_rows = 1, batch = 1), so slot ==
+  // shard id.
+  MorselConfig cfg;
+  cfg.morsel_rows = 1;
+  cfg.batch_morsels = 1;
+  MorselQueue queue(populated, MorselWorkers(pool), cfg);
+  std::vector<std::vector<RowId>> locals(populated);
+  RunMorsels(pool, queue, [&](const MorselQueue::Claim& c) {
+    const size_t begin = c.slot * chunk;
     const size_t end = std::min(begin + chunk, all.size());
-    if (begin >= end) break;
-    locals.push_back(
+    locals[c.slot] =
         SkylineSFSRows(view, std::span<const RowId>(all).subspan(begin, end - begin),
                        kernel)
-            .rows);
-  }
+            .rows;
+  });
 
-  // Merge phase: fold the local antichains with the D&C cross-filter —
-  // the skyline of a union is the cross-filtered union of the skylines.
+  // Merge phase: fold the local antichains with the D&C cross-filter in
+  // shard order — the skyline of a union is the cross-filtered union of
+  // the skylines.
   std::vector<RowId> merged = std::move(locals.front());
   for (size_t s = 1; s < locals.size(); ++s) {
     merged = CrossFilterMerge(view, merged, locals[s], kernel);

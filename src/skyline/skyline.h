@@ -43,6 +43,8 @@
 
 namespace skydiver {
 
+class ThreadPool;
+
 /// Output of a skyline computation.
 struct SkylineResult {
   /// Row ids of the skyline points, ascending.
@@ -66,14 +68,23 @@ SkylineResult SkylineBNL(const DataSet& data,
 /// definitively in the skyline: no candidate can be dominated by a later
 /// point. Under kTiled the admitted set is tiled and admission is one
 /// AnyDominator sweep per tile.
-SkylineResult SkylineSFS(const DataView& view,
-                         DomKernel kernel = DomKernel::kScalar);
-SkylineResult SkylineSFS(const DataSet& data,
-                         DomKernel kernel = DomKernel::kScalar);
+///
+/// With a null `pool` this is the one-pass SFS. With a pool the view's rows
+/// are cut into morsel claims (`morsel_rows` per morsel, 0 =
+/// kDefaultMorselRows; parallel/morsel.h) whose local SFS skylines are
+/// computed on the pool, then one SFS pass over their union finishes the
+/// job (the skyline of a union is the skyline of the union of local
+/// skylines). The rows are identical either way; `dominance_checks`
+/// counts the work done, which differs.
+SkylineResult SkylineSFS(const DataView& view, DomKernel kernel = DomKernel::kScalar,
+                         ThreadPool* pool = nullptr, size_t morsel_rows = 0);
+SkylineResult SkylineSFS(const DataSet& data, DomKernel kernel = DomKernel::kScalar,
+                         ThreadPool* pool = nullptr, size_t morsel_rows = 0);
 
-/// SFS restricted to an explicit subset of the view's rows (callers pass a
-/// chunk of view.rows()): the building block for the sharded backend and
-/// the pooled SFS shards. Returns original row ids, ascending.
+/// One-pass SFS restricted to an explicit subset of the view's rows
+/// (callers pass a chunk of view.rows()): the building block of the shards
+/// and claims of SkylineSharded and the pooled SkylineSFS. Returns
+/// original row ids, ascending.
 SkylineResult SkylineSFSRows(const DataView& view, std::span<const RowId> rows,
                              DomKernel kernel = DomKernel::kScalar);
 
@@ -98,13 +109,14 @@ std::vector<RowId> CrossFilterMerge(const DataView& view, const std::vector<RowI
                                     const std::vector<RowId>& b, DomKernel kernel);
 
 /// Sharded skyline: splits the view's rows into `shards` contiguous
-/// chunks, computes each chunk's local SFS skyline, and folds the local
-/// skylines together with the D&C cross-filter. Serial; the pooled
-/// variant that computes the shard phase on a thread pool is
-/// parallel/parallel_ops.h's ShardedSkyline. shards <= 1 degenerates to
-/// one chunk (rows identical to SkylineSFS).
+/// chunks, computes each chunk's local SFS skyline (on `pool` when it is
+/// non-null, one shard per claim), and folds the local skylines together
+/// with the D&C cross-filter in shard order, so the merge sequence and its
+/// dominance-check count do not depend on the pool. shards <= 1
+/// degenerates to one chunk (rows identical to SkylineSFS).
 SkylineResult SkylineSharded(const DataView& view, size_t shards,
-                             DomKernel kernel = DomKernel::kScalar);
+                             DomKernel kernel = DomKernel::kScalar,
+                             ThreadPool* pool = nullptr);
 
 /// Branch-and-bound skyline over the aggregate R*-tree built on the FULL
 /// dataset (the tree is query-independent; the query is applied during the

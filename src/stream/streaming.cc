@@ -96,33 +96,7 @@ Status StreamingSkyDiver::Insert(std::span<const Coord> point) {
     }
     if (dropped) sky_tiles_.DropEmptyTiles();
 
-    // Build the arrival's signature by a tiled scan of the store (tiles
-    // assembled on the fly, current skyline rows excluded up front — the
-    // same rows the scalar scan skips). Morsel-parallel when a pool was
-    // supplied and the store is big enough to be worth dispatching.
-    SkylineEntry entry;
-    if (pool_ != nullptr && row >= kDefaultMorselRows) {
-      entry = MorselStoreScan(point, row);
-    } else {
-      entry.signature.assign(t_, kEmptySlot);
-      Tile scan(dims_);
-      auto flush = [&] {
-        uint64_t mask = batch.FilterDominated(point, scan.view());
-        while (mask != 0) {
-          const int bit = std::countr_zero(mask);
-          mask &= mask - 1;
-          UpdateSignature(&entry, scan.id(static_cast<size_t>(bit)));
-        }
-        scan.Clear();
-      };
-      for (RowId r = 0; r < row; ++r) {
-        if (skyline_.count(r)) continue;  // current skyline points are in no Γ
-        scan.PushRow(r, data_.row(r));
-        if (scan.full()) flush();
-      }
-      if (!scan.empty()) flush();
-    }
-    skyline_.emplace(row, std::move(entry));
+    skyline_.emplace(row, StoreScan(point, row));
     sky_tiles_.Append(row, point);
     ++stats_.skyline_insertions;
     return Status::OK();
@@ -164,13 +138,13 @@ Status StreamingSkyDiver::Insert(std::span<const Coord> point) {
   return Status::OK();
 }
 
-StreamingSkyDiver::SkylineEntry StreamingSkyDiver::MorselStoreScan(
-    std::span<const Coord> point, RowId row) {
-  // Snapshot the exclusion set (current skyline rows are in no Γ) under
-  // the monitor lock; pool workers read only this snapshot plus immutable
-  // state — the arrival's coordinates, the hash family, and store rows
-  // below `row`, which no concurrent Insert can touch (single-writer
-  // contract on data_).
+StreamingSkyDiver::SkylineEntry StreamingSkyDiver::StoreScan(std::span<const Coord> point,
+                                                             RowId row) {
+  // Snapshot the exclusion set (current skyline rows are in no Γ — the
+  // same rows the scalar scan skips) under the monitor lock; the claims
+  // read only this snapshot plus immutable state — the arrival's
+  // coordinates, the hash family, and store rows below `row`, which no
+  // concurrent Insert can touch (single-writer contract on data_).
   std::vector<uint8_t> excluded(row, 0);
   for (const auto& [r, e] : skyline_) {
     if (r < row) excluded[r] = 1;
@@ -184,11 +158,10 @@ StreamingSkyDiver::SkylineEntry StreamingSkyDiver::MorselStoreScan(
     std::vector<uint64_t> sig;
     uint64_t dominated = 0;
   };
-  (void)pool_->HarvestDominanceChecks();  // drop leftovers from earlier pool users
-  MorselQueue queue(row, pool_->size(), MorselConfig{});
+  MorselQueue queue(row, MorselWorkers(pool_), MorselConfig{});
   std::vector<ScanSlot> slots(queue.slots());
   const DomKernel kernel = kernel_;
-  RunMorsels(*pool_, queue, [&](const MorselQueue::Claim& c) {
+  RunMorsels(pool_, queue, [&](const MorselQueue::Claim& c) {
     ScanSlot& slot = slots[c.slot];
     slot.sig.assign(t_, kEmptySlot);
     const DominanceKernel batch(kernel);
@@ -214,13 +187,6 @@ StreamingSkyDiver::SkylineEntry StreamingSkyDiver::MorselStoreScan(
     }
     if (!scan.empty()) flush();
   });
-  // Fold the workers' dominance-test deltas into this thread's counters,
-  // as every pooled op does, so surrounding accounting scopes observe the
-  // scan's work.
-  const DominanceHarvest h = pool_->HarvestDominanceChecks();
-  DominanceCounter::Count() += h.total;
-  DominanceCounter::TiledCount() += h.tiled;
-
   SkylineEntry entry;
   entry.signature.assign(t_, kEmptySlot);
   for (const ScanSlot& slot : slots) {

@@ -77,12 +77,12 @@ class StreamingSkyDiver {
   /// is bit-identical to the scalar kernel's. kSimd downgrades to kTiled
   /// at construction when the host has no vector ISA.
   ///
-  /// A non-null `pool` morselizes the batched store scan (the O(n) pass a
-  /// skyline insertion triggers): workers claim tile-aligned row ranges
-  /// and accumulate per-slot signature minima that fold in slot order, so
-  /// the maintained state stays bit-identical to the serial scan's
-  /// (parallel/morsel.h). The pool must outlive this object and must not
-  /// run tasks that touch this monitor (its workers execute the scan while
+  /// The batched store scan (the O(n) pass a skyline insertion triggers)
+  /// runs in morsel claims over tile-aligned row ranges, each accumulating
+  /// its own signature minima, folded in slot order (parallel/morsel.h):
+  /// inline when `pool` is null, on its workers otherwise, with the same
+  /// maintained state. The pool must outlive this object and must not run
+  /// tasks that touch this monitor (its workers execute the scan while
   /// Insert holds the monitor lock).
   StreamingSkyDiver(Dim dims, size_t signature_size, uint64_t seed,
                     uint64_t max_points = 1ULL << 22,
@@ -142,11 +142,11 @@ class StreamingSkyDiver {
   void UpdateSignature(SkylineEntry* entry, RowId row)
       SKYDIVER_REQUIRES(monitor_mutex_);
 
-  // The morsel-parallel batched store scan: builds the arriving skyline
-  // point's entry over store rows [0, row) on pool_. Requires the monitor
-  // lock to snapshot the exclusion set and charge stats; the pool workers
-  // themselves touch no guarded state.
-  SkylineEntry MorselStoreScan(std::span<const Coord> point, RowId row)
+  // The batched store scan: builds the arriving skyline point's entry over
+  // store rows [0, row), claim by claim, inline or on pool_. Requires the
+  // monitor lock to snapshot the exclusion set and charge stats; the
+  // claims themselves touch no guarded state.
+  SkylineEntry StoreScan(std::span<const Coord> point, RowId row)
       SKYDIVER_REQUIRES(monitor_mutex_);
 
   // SkylineRows for callers already inside the monitor's critical section

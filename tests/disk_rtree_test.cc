@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "common/binio.h"
@@ -351,7 +353,7 @@ TEST(DiskRTreeTest, SigGenIbOffDiskMatchesInMemory) {
   const auto family = MinHashFamily::Create(32, f.data.size(), 213);
   const auto mem = SigGenIB(f.data, skyline, family, *f.memory).value();
   const auto from_disk = SigGenIB(f.data, skyline, family, *disk).value();
-  // Same traversal order (BFS over the same page ids) -> identical
+  // Same traversal order (DFS over the same page ids) -> identical
   // signatures and scores.
   EXPECT_EQ(from_disk.domination_scores, mem.domination_scores);
   for (size_t j = 0; j < skyline.size(); ++j) {
@@ -403,6 +405,36 @@ TEST(DiskRTreeTest, RejectsForeignAndCorruptFiles) {
     file.write(&junk, 1);
   }
   EXPECT_FALSE(DiskRTree::Open(f.path).ok());
+  std::remove(f.path.c_str());
+}
+
+TEST(DiskRTreeTest, OutOfRangeCacheFractionAndPageSizeAreRejected) {
+  // The cache is sized by a cast of ceil(fraction x pages) to size_t:
+  // fractions outside (0, 1] are a Status, not undefined behaviour.
+  auto f = DiskFixture::Make(WorkloadKind::kIndependent, 1000, 3, "disk_paging.pages");
+  for (const double fraction :
+       {std::numeric_limits<double>::quiet_NaN(), -1.0, 0.0, 1e30}) {
+    EXPECT_TRUE(DiskRTree::Open(f.path, fraction).status().IsInvalidArgument())
+        << fraction;
+  }
+  EXPECT_TRUE(DiskRTree::Open(f.path, 1.0).ok());
+
+  // A header claiming page size 0, with its checksum recomputed so that
+  // only the geometry checks stand between it and the reader.
+  {
+    std::fstream file(f.path, std::ios::in | std::ios::out | std::ios::binary);
+    unsigned char head[40];
+    file.read(reinterpret_cast<char*>(head), sizeof(head));
+    const uint32_t zero = 0;
+    std::memcpy(head + 12, &zero, sizeof(zero));  // after magic and dims
+    Fnv1a sum;
+    sum.Update(head, sizeof(head));
+    const uint64_t digest = sum.digest();
+    file.seekp(0);
+    file.write(reinterpret_cast<const char*>(head), sizeof(head));
+    file.write(reinterpret_cast<const char*>(&digest), sizeof(digest));
+  }
+  EXPECT_TRUE(DiskRTree::Open(f.path).status().IsInvalidArgument());
   std::remove(f.path.c_str());
 }
 

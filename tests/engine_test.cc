@@ -19,7 +19,8 @@
 #include "engine/snapshot.h"
 #include "lsh/lsh.h"
 #include "minhash/siggen.h"
-#include "parallel/parallel_ops.h"
+#include "parallel/morsel.h"
+#include "parallel/thread_pool.h"
 #include "rtree/rtree.h"
 #include "skydiver/session.h"
 #include "skydiver/skydiver.h"
@@ -42,13 +43,17 @@ TEST(PlannerTest, SerialIndexFreePlan) {
 }
 
 TEST(PlannerTest, PooledConfigPicksParallelBackends) {
+  // The thread count is a plan property, not a backend: a pooled config
+  // resolves to the serial plan's backends plus the pool width and the
+  // morsel size the stages run with.
   SkyDiverConfig config;
   config.threads = 4;
   auto plan = Planner::Resolve(config, PlanResources{});
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->skyline, SkylineBackend::kParallelSfs);
-  EXPECT_EQ(plan->fingerprint, FingerprintBackend::kParallelIf);
+  EXPECT_EQ(plan->skyline, SkylineBackend::kSfs);
+  EXPECT_EQ(plan->fingerprint, FingerprintBackend::kSigGenIf);
   EXPECT_EQ(plan->threads, 4u);
+  EXPECT_EQ(plan->morsel_rows, kDefaultMorselRows);
 }
 
 TEST(PlannerTest, TreePicksIndexedBackends) {
@@ -67,7 +72,8 @@ TEST(PlannerTest, TreePicksIndexedBackends) {
   auto pooled = Planner::Resolve(config, resources);
   ASSERT_TRUE(pooled.ok());
   EXPECT_EQ(pooled->skyline, SkylineBackend::kBbs);
-  EXPECT_EQ(pooled->fingerprint, FingerprintBackend::kParallelIb);
+  EXPECT_EQ(pooled->fingerprint, FingerprintBackend::kSigGenIb);
+  EXPECT_EQ(pooled->threads, 2u);
 }
 
 TEST(PlannerTest, IndexFreeOverrideKeepsBbsSkyline) {
@@ -127,8 +133,10 @@ TEST(PlannerTest, ExplainPlanNamesEveryStage) {
   config.threads = 2;
   const auto plan = Planner::Resolve(config, PlanResources{}).value();
   const std::string text = ExplainPlan(plan, config);
-  EXPECT_NE(text.find("parallel-sfs"), std::string::npos) << text;
-  EXPECT_NE(text.find("parallel-siggen-if"), std::string::npos) << text;
+  EXPECT_NE(text.find("sfs"), std::string::npos) << text;
+  EXPECT_NE(text.find("morsel-local skylines"), std::string::npos) << text;
+  EXPECT_NE(text.find("siggen-if"), std::string::npos) << text;
+  EXPECT_NE(text.find("morsel slots min-merged"), std::string::npos) << text;
   EXPECT_NE(text.find("greedy-minhash"), std::string::npos) << text;
   EXPECT_NE(text.find("threads=2"), std::string::npos) << text;
 }
@@ -151,13 +159,8 @@ LegacyOutput LegacyRun(const DataSet& data, const SkyDiverConfig& config,
   SigGenResult sig;
   const auto family =
       MinHashFamily::Create(config.signature_size, data.size(), config.seed);
-  if (pool != nullptr) {
-    out.skyline = ParallelSkyline(data, *pool).rows;
-    sig = ParallelSigGenIF(data, out.skyline, family, *pool).value();
-  } else {
-    out.skyline = SkylineSFS(data).rows;
-    sig = SigGenIF(data, out.skyline, family).value();
-  }
+  out.skyline = SkylineSFS(data, DomKernel::kSimd, pool).rows;
+  sig = SigGenIF(data, out.skyline, family, DomKernel::kSimd, pool).value();
   const size_t m = out.skyline.size();
   auto score = [&](size_t j) { return static_cast<double>(sig.domination_scores[j]); };
   DispersionResult selection;
@@ -186,7 +189,7 @@ LegacyOutput LegacyRun(const DataSet& data, const SkyDiverConfig& config,
 struct ParityCase {
   WorkloadKind workload;
   SelectMode select;
-  size_t threads;  // 0 = serial reference; 1+ = pooled (ParallelSigGenIF semantics)
+  size_t threads;  // 0 = serial reference; 1+ = pooled
 };
 
 class PlanParityTest : public testing::TestWithParam<ParityCase> {};
@@ -225,7 +228,7 @@ INSTANTIATE_TEST_SUITE_P(
         ParityCase{WorkloadKind::kIndependent, SelectMode::kLsh, 0},
         ParityCase{WorkloadKind::kCorrelated, SelectMode::kLsh, 0},
         ParityCase{WorkloadKind::kAnticorrelated, SelectMode::kLsh, 0},
-        // ...and pooled plans against the ParallelSigGenIF min-merge path.
+        // ...and pooled plans against the pooled SigGen-IF min-merge path.
         ParityCase{WorkloadKind::kIndependent, SelectMode::kMinHash, 3},
         ParityCase{WorkloadKind::kCorrelated, SelectMode::kMinHash, 3},
         ParityCase{WorkloadKind::kAnticorrelated, SelectMode::kMinHash, 3}),
@@ -284,9 +287,9 @@ TEST(EngineTest, BatchLshPicksEqualSnapshotSelect) {
   }
 }
 
-// Pooled and serial MH plans agree exactly: ParallelSkyline == SFS and
-// ParallelSigGenIF min-merges to the identical matrix, so the whole
-// pipeline is thread-count invariant.
+// Pooled and serial MH plans agree exactly: the pooled SFS returns the
+// serial rows and the pooled SigGen-IF min-merges to the identical matrix,
+// so the whole pipeline is thread-count invariant.
 TEST(EngineTest, PooledPlanIsBitIdenticalToSerialPlan) {
   const DataSet data = GenerateIndependent(5000, 4, 21);
   SkyDiverConfig serial;

@@ -25,7 +25,6 @@
 #include "kernels/skyline_blocks.h"
 #include "kernels/tile_view.h"
 #include "minhash/siggen.h"
-#include "parallel/parallel_ops.h"
 #include "parallel/thread_pool.h"
 #include "rtree/rtree.h"
 #include "stream/streaming.h"
@@ -535,7 +534,7 @@ TEST(PooledCountingTest, ParallelSigGenIfReportsSerialCounts) {
 
   for (const DomKernel kernel : kAllKernels) {
     const auto serial = SigGenIF(data, skyline, family, kernel).value();
-    const auto pooled = ParallelSigGenIF(data, skyline, family, pool, kernel).value();
+    const auto pooled = SigGenIF(data, skyline, family, kernel, &pool).value();
     // The IF pass walks the same blocks however it is sharded.
     EXPECT_GT(pooled.dominance_checks, 0u);
     EXPECT_EQ(pooled.dominance_checks, serial.dominance_checks);
@@ -546,7 +545,7 @@ TEST(PooledCountingTest, ParallelSigGenIfReportsSerialCounts) {
 TEST(PooledCountingTest, ParallelSkylineReportsNonZeroCounts) {
   const DataSet data = GenerateWorkload(WorkloadKind::kIndependent, 3000, 4, 47).value();
   ThreadPool pool(4);
-  const SkylineResult pooled = ParallelSkyline(data, pool);
+  const SkylineResult pooled = SkylineSFS(data, DomKernel::kSimd, &pool);
   EXPECT_EQ(pooled.rows, SkylineSFS(data).rows);
   EXPECT_GT(pooled.dominance_checks, 0u);
 }
@@ -555,7 +554,7 @@ TEST(PooledCountingTest, HarvestFoldsIntoCallerCounters) {
   const DataSet data = GenerateWorkload(WorkloadKind::kIndependent, 2000, 4, 53).value();
   ThreadPool pool(4);
   const uint64_t before = DominanceCounter::Count();
-  (void)ParallelSkyline(data, pool);
+  (void)SkylineSFS(data, DomKernel::kSimd, &pool);
   // Pool-side work must be visible to the calling thread's counter (this
   // is what stage-level accounting relies on).
   EXPECT_GT(DominanceCounter::Count() - before, 0u);

@@ -15,7 +15,6 @@
 #include "datagen/generators.h"
 #include "minhash/minhash.h"
 #include "minhash/siggen.h"
-#include "parallel/parallel_ops.h"
 #include "parallel/thread_pool.h"
 #include "poset/mixed.h"
 #include "rtree/disk_rtree.h"
@@ -399,9 +398,12 @@ TEST(SigGenTest, EveryProducerRejectsAFamilyWiderThanASlot) {
   std::remove(path.c_str());
 
   ThreadPool pool(2);
-  EXPECT_TRUE(ParallelSigGenIF(f.data, f.skyline, wide, pool).status().IsInvalidArgument());
-  EXPECT_TRUE(
-      ParallelSigGenIB(f.data, f.skyline, wide, *tree, pool).status().IsInvalidArgument());
+  EXPECT_TRUE(SigGenIF(f.data, f.skyline, wide, DomKernel::kSimd, &pool)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(SigGenIB(f.data, f.skyline, wide, *tree, DomKernel::kSimd, &pool)
+                  .status()
+                  .IsInvalidArgument());
 
   const MixedSchema schema(f.data.dims());  // all numeric
   EXPECT_TRUE(MixedSigGenIF(f.data, schema, f.skyline, wide).status().IsInvalidArgument());

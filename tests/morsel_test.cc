@@ -14,12 +14,12 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/dominance.h"
 #include "core/data_view.h"
 #include "datagen/generators.h"
 #include "diversify/dispersion.h"
 #include "minhash/siggen.h"
 #include "parallel/morsel.h"
-#include "parallel/parallel_ops.h"
 #include "parallel/thread_pool.h"
 #include "skyline/skyline.h"
 #include "stream/streaming.h"
@@ -91,6 +91,36 @@ TEST(MorselQueueTest, EmptyRangeGrantsNothing) {
   EXPECT_EQ(queue.stats().claims, 0u);
 }
 
+TEST(MorselQueueTest, NullPoolRunsEveryClaimInlineInSlotOrder) {
+  MorselConfig cfg;
+  cfg.morsel_rows = 16;
+  MorselQueue queue(16 * 37 + 5, MorselWorkers(nullptr), cfg);
+  std::vector<size_t> order;
+  RunMorsels(nullptr, queue,
+             [&](const MorselQueue::Claim& c) { order.push_back(c.slot); });
+  ASSERT_EQ(order.size(), queue.slots());
+  for (size_t s = 0; s < order.size(); ++s) EXPECT_EQ(order[s], s);
+}
+
+TEST(MorselQueueTest, PooledRunFoldsWorkerChecksIntoTheCaller) {
+  // Counts left on the pool by an earlier user are dropped; the claims'
+  // own counts reach the calling thread's counter.
+  ThreadPool pool(3);
+  ASSERT_TRUE(pool.Submit([] { DominanceCounter::Count() += 1000; }));
+  pool.Wait();
+  const std::vector<Coord> a = {0.0, 0.0};
+  const std::vector<Coord> b = {1.0, 1.0};
+  MorselConfig cfg;
+  cfg.morsel_rows = 1;
+  MorselQueue queue(50, pool.size(), cfg);
+  const uint64_t before = DominanceCounter::Count();
+  RunMorsels(&pool, queue, [&](const MorselQueue::Claim& c) {
+    for (uint64_t r = c.begin; r < c.end; ++r) EXPECT_TRUE(Dominates(a, b));
+  });
+  EXPECT_EQ(DominanceCounter::Count() - before, 50u);
+  EXPECT_EQ(pool.HarvestDominanceChecks().total, 0u);
+}
+
 TEST(MorselQueueTest, ConcurrentClaimsAreExactlyOnce) {
   // Hammer Next() from pool workers: every slot must be granted exactly
   // once, regardless of interleaving.
@@ -101,7 +131,7 @@ TEST(MorselQueueTest, ConcurrentClaimsAreExactlyOnce) {
   ASSERT_EQ(queue.slots(), 257u);
   std::vector<std::atomic<uint32_t>> granted(queue.slots());
   ThreadPool pool(8);
-  RunMorsels(pool, queue, [&granted](const MorselQueue::Claim& c) {
+  RunMorsels(&pool, queue, [&granted](const MorselQueue::Claim& c) {
     granted[c.slot].fetch_add(1, std::memory_order_relaxed);
   });
   for (size_t s = 0; s < granted.size(); ++s) {
@@ -220,7 +250,7 @@ TEST_P(MorselDeterminismTest, RunMorselsWithRandomStallsFillsSlotsExactly) {
               std::chrono::microseconds(rng.NextBounded(200)));
         };
     RunMorsels(
-        pool, queue,
+        &pool, queue,
         [&slot_sums](const MorselQueue::Claim& c) {
           for (uint64_t r = c.begin; r < c.end; ++r) slot_sums[c.slot] += r;
         },
@@ -236,10 +266,9 @@ TEST_P(MorselDeterminismTest, SkylineBitIdenticalToSerial) {
   const auto data = GenerateAnticorrelated(2113, 4, 101);
   const auto serial = SkylineSFS(data).rows;
   for (const MorselConfig& cfg : StressConfigs()) {
-    // ParallelSkyline derives batching from the pool internally; the morsel
+    // SkylineSFS derives batching from the pool internally; the morsel
     // size is the exposed knob.
-    EXPECT_EQ(ParallelSkyline(data, pool, DomKernel::kSimd, cfg.morsel_rows).rows,
-              serial)
+    EXPECT_EQ(SkylineSFS(data, DomKernel::kSimd, &pool, cfg.morsel_rows).rows, serial)
         << "threads=" << GetParam() << " morsel_rows=" << cfg.morsel_rows;
   }
 }
@@ -253,9 +282,7 @@ TEST_P(MorselDeterminismTest, SigGenIfBitIdenticalToSerial) {
   const uint64_t want = SigGenDigest(serial, skyline.size(), family.size());
   for (const MorselConfig& cfg : StressConfigs()) {
     const auto parallel =
-        ParallelSigGenIF(data, skyline, family, pool, DomKernel::kSimd,
-                         cfg.morsel_rows)
-            .value();
+        SigGenIF(data, skyline, family, DomKernel::kSimd, &pool, cfg.morsel_rows).value();
     EXPECT_EQ(SigGenDigest(parallel, skyline.size(), family.size()), want)
         << "threads=" << GetParam() << " morsel_rows=" << cfg.morsel_rows;
   }
@@ -267,7 +294,7 @@ TEST_P(MorselDeterminismTest, ShardedSkylineBitIdenticalToSerial) {
   const DataView view(data);
   for (size_t shards : {3u, 8u}) {
     const auto serial = SkylineSharded(view, shards, DomKernel::kTiled);
-    const auto pooled = ShardedSkyline(view, shards, &pool, DomKernel::kTiled);
+    const auto pooled = SkylineSharded(view, shards, DomKernel::kTiled, &pool);
     EXPECT_EQ(pooled.rows, serial.rows)
         << "threads=" << GetParam() << " shards=" << shards;
     // Slot = shard id fixes the merge order, so even the dominance-check
@@ -297,8 +324,8 @@ TEST_P(MorselDeterminismTest, SelectionBitIdenticalToSerial) {
     ASSERT_TRUE(serial.ok());
     const uint64_t want = SelectionDigest(serial.value());
     for (const MorselConfig& cfg : StressConfigs()) {
-      const auto parallel = ParallelSelectDiverseSet(
-          m, k, distance, sig.domination_scores, pool, cfg.morsel_rows);
+      const auto parallel =
+          SelectDiverseSet(m, k, distance, sig.domination_scores, &pool, cfg.morsel_rows);
       ASSERT_TRUE(parallel.ok());
       EXPECT_EQ(SelectionDigest(parallel.value()), want)
           << "threads=" << GetParam() << " k=" << k
@@ -342,17 +369,17 @@ TEST(ParallelSelectionTest, ValidatesLikeSerial) {
   ThreadPool pool(2);
   const DistanceFn distance = [](size_t, size_t) { return 1.0; };
   const ScoreFn score = [](size_t) { return 0.0; };
-  EXPECT_TRUE(ParallelSelectDiverseSet(0, 1, distance, score, pool)
+  EXPECT_TRUE(SelectDiverseSet(0, 1, distance, score, &pool)
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(ParallelSelectDiverseSet(5, 0, distance, score, pool)
+  EXPECT_TRUE(SelectDiverseSet(5, 0, distance, score, &pool)
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(ParallelSelectDiverseSet(5, 6, distance, score, pool)
+  EXPECT_TRUE(SelectDiverseSet(5, 6, distance, score, &pool)
                   .status()
                   .IsInvalidArgument());
   const std::vector<uint64_t> short_scores(3, 1);
-  EXPECT_TRUE(ParallelSelectDiverseSet(5, 2, distance, short_scores, pool)
+  EXPECT_TRUE(SelectDiverseSet(5, 2, distance, short_scores, &pool)
                   .status()
                   .IsInvalidArgument());
 }

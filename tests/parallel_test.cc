@@ -13,7 +13,6 @@
 #include "core/gamma.h"
 #include "datagen/generators.h"
 #include "minhash/siggen.h"
-#include "parallel/parallel_ops.h"
 #include "parallel/thread_pool.h"
 #include "skyline/skyline.h"
 
@@ -150,7 +149,7 @@ TEST_P(ParallelEquivalenceTest, SkylineMatchesSerial) {
   for (WorkloadKind kind : {WorkloadKind::kIndependent, WorkloadKind::kAnticorrelated,
                             WorkloadKind::kForestCoverLike}) {
     const auto data = GenerateWorkload(kind, 4000, 3, 77).value();
-    EXPECT_EQ(ParallelSkyline(data, pool).rows, SkylineSFS(data).rows)
+    EXPECT_EQ(SkylineSFS(data, DomKernel::kSimd, &pool).rows, SkylineSFS(data).rows)
         << WorkloadKindName(kind);
   }
 }
@@ -161,7 +160,7 @@ TEST_P(ParallelEquivalenceTest, SigGenMatchesSerialBitForBit) {
   const auto skyline = SkylineSFS(data).rows;
   const auto family = MinHashFamily::Create(64, data.size(), 81);
   const auto serial = SigGenIF(data, skyline, family).value();
-  const auto parallel = ParallelSigGenIF(data, skyline, family, pool).value();
+  const auto parallel = SigGenIF(data, skyline, family, DomKernel::kSimd, &pool).value();
   ASSERT_EQ(parallel.domination_scores, serial.domination_scores);
   for (size_t j = 0; j < skyline.size(); ++j) {
     for (size_t i = 0; i < family.size(); ++i) {
@@ -184,10 +183,11 @@ TEST(ParallelOpsTest, ParallelIbDeterministicAcrossThreadCounts) {
   const auto family = MinHashFamily::Create(64, data.size(), 89);
   const auto tree = RTree::BulkLoad(data).value();
   ThreadPool pool1(1);
-  const auto base = ParallelSigGenIB(data, skyline, family, tree, pool1).value();
+  const auto base = SigGenIB(data, skyline, family, tree, DomKernel::kSimd, &pool1).value();
   for (size_t threads : {2u, 5u}) {
     ThreadPool pool(threads);
-    const auto result = ParallelSigGenIB(data, skyline, family, tree, pool).value();
+    const auto result =
+        SigGenIB(data, skyline, family, tree, DomKernel::kSimd, &pool).value();
     ASSERT_EQ(result.domination_scores, base.domination_scores) << threads;
     for (size_t j = 0; j < skyline.size(); ++j) {
       for (size_t i = 0; i < 64; ++i) {
@@ -204,12 +204,21 @@ TEST(ParallelOpsTest, ParallelIbScoresMatchSerialAndEstimatesTrackExact) {
   const auto family = MinHashFamily::Create(256, data.size(), 93);
   const auto tree = RTree::BulkLoad(data).value();
   ThreadPool pool(3);
-  const auto parallel = ParallelSigGenIB(data, skyline, family, tree, pool).value();
+  const auto parallel =
+      SigGenIB(data, skyline, family, tree, DomKernel::kSimd, &pool).value();
   const auto serial = SigGenIB(data, skyline, family, tree).value();
-  // Exact domination scores are permutation-independent.
+  // One depth-first row layout at every thread count: the pooled result is
+  // the inline one, bit for bit.
   EXPECT_EQ(parallel.domination_scores, serial.domination_scores);
-  // Estimates use a different (DFS vs BFS) permutation: statistical
-  // agreement only.
+  EXPECT_EQ(parallel.dominance_checks, serial.dominance_checks);
+  EXPECT_EQ(parallel.io.page_reads, serial.io.page_reads);
+  for (size_t j = 0; j < skyline.size(); ++j) {
+    for (size_t i = 0; i < family.size(); ++i) {
+      ASSERT_EQ(parallel.signatures.at(j, i), serial.signatures.at(j, i))
+          << "col " << j << " slot " << i;
+    }
+  }
+  // And the estimates track the exact Jaccard similarities.
   const GammaSets gammas = GammaSets::Compute(data, skyline);
   const size_t m = skyline.size();
   double err_sum = 0.0;
@@ -230,7 +239,7 @@ TEST(ParallelOpsTest, ParallelIbValidates) {
   const auto other = GenerateIndependent(100, 2, 95);
   const auto family = MinHashFamily::Create(8, data.size(), 97);
   const auto tree = RTree::BulkLoad(other).value();
-  EXPECT_TRUE(ParallelSigGenIB(data, {0}, family, tree, pool)
+  EXPECT_TRUE(SigGenIB(data, {0}, family, tree, DomKernel::kSimd, &pool)
                   .status()
                   .IsInvalidArgument());
 }
@@ -239,9 +248,12 @@ TEST(ParallelOpsTest, SigGenValidatesInputs) {
   ThreadPool pool(2);
   const auto data = GenerateIndependent(100, 2, 83);
   const auto family = MinHashFamily::Create(8, data.size(), 85);
-  EXPECT_TRUE(ParallelSigGenIF(data, {}, family, pool).status().IsInvalidArgument());
-  EXPECT_TRUE(
-      ParallelSigGenIF(data, {999}, family, pool).status().IsInvalidArgument());
+  EXPECT_TRUE(SigGenIF(data, {}, family, DomKernel::kSimd, &pool)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(SigGenIF(data, {999}, family, DomKernel::kSimd, &pool)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 }  // namespace

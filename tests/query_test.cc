@@ -24,7 +24,6 @@
 #include "core/dataset.h"
 #include "core/sky_query.h"
 #include "datagen/generators.h"
-#include "parallel/parallel_ops.h"
 #include "parallel/thread_pool.h"
 #include "rtree/rtree.h"
 #include "skydiver/skydiver.h"
@@ -339,9 +338,9 @@ TEST(QueryDifferentialTest, ShardedMatchesUnshardedSerialAndPooled) {
   ThreadPool pool(4);
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{16}}) {
     EXPECT_EQ(SkylineSharded(view, shards).rows, reference);
-    EXPECT_EQ(ShardedSkyline(view, shards, &pool).rows, reference);
-    EXPECT_EQ(ShardedSkyline(view, shards, nullptr).rows, reference);
+    EXPECT_EQ(SkylineSharded(view, shards, DomKernel::kSimd, &pool).rows, reference);
   }
+  EXPECT_EQ(SkylineSFS(view, DomKernel::kSimd, &pool).rows, reference);
   // More shards than rows degenerates gracefully.
   DataSet tiny(2);
   tiny.Append({0.5, 0.5});

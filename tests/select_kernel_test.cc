@@ -18,7 +18,6 @@
 #include "kernels/agree_row.h"
 #include "lsh/lsh.h"
 #include "minhash/siggen.h"
-#include "parallel/parallel_ops.h"
 #include "parallel/thread_pool.h"
 #include "skyline/skyline.h"
 
@@ -225,7 +224,7 @@ TEST(RowGreedyTest, MatchesPerPairGreedyAtEveryThreadCountAndMorselSize) {
                 SelectDiverseSet(m, k, space.row, scores, pool, morsel_rows).value(), want,
                 where + " row");
             ExpectSameSelection(
-                ParallelSelectDiverseSet(m, k, space.pair, scores, *pool, morsel_rows).value(),
+                SelectDiverseSet(m, k, space.pair, scores, pool, morsel_rows).value(),
                 want, where + " pair");
           }
         }

@@ -26,7 +26,6 @@
 #include "kernels/skyline_blocks.h"
 #include "minhash/ib_accumulator.h"
 #include "minhash/siggen.h"
-#include "parallel/parallel_ops.h"
 #include "parallel/thread_pool.h"
 #include "rtree/rtree.h"
 #include "skyline/skyline.h"
@@ -236,8 +235,7 @@ TEST_P(SigGenIfBlocksTest, SerialPooledAndKernelsAgreeBitForBit) {
       ThreadPool pool(threads);
       for (const size_t morsel : {size_t{1}, size_t{7}, size_t{64}, size_t{0}}) {
         ExpectSameSigGen(
-            ParallelSigGenIF(data, skyline, family, pool, kernel, morsel).value(),
-            reference,
+            SigGenIF(data, skyline, family, kernel, &pool, morsel).value(), reference,
             name + " threads=" + std::to_string(threads) +
                 " morsel=" + std::to_string(morsel));
       }
@@ -337,9 +335,9 @@ TEST(SigGenIbSplitTest, SplitNodeMatchesTheMbrDefinitions) {
 }
 
 TEST(SigGenIbSplitTest, PooledDescentChargesTheSerialCount) {
-  // The serial descent is breadth-first and the pooled one depth-first,
-  // but both classify each node against the same candidates, so the
-  // dominance counts agree at every thread count and kernel.
+  // The inline and the pooled descent classify each node against the same
+  // candidates, so the dominance counts agree at every thread count and
+  // kernel.
   const DataSet data = GenerateWorkload(WorkloadKind::kIndependent, 8000, 4, 0x4f).value();
   const auto skyline = SkylineSFS(data).rows;
   const auto family = MinHashFamily::Create(16, data.size(), 0x6a);
@@ -351,7 +349,7 @@ TEST(SigGenIbSplitTest, PooledDescentChargesTheSerialCount) {
     for (const size_t threads : {1u, 2u, 4u}) {
       ThreadPool pool(threads);
       const SigGenResult pooled =
-          ParallelSigGenIB(data, skyline, family, *tree, pool, kernel).value();
+          SigGenIB(data, skyline, family, *tree, kernel, &pool).value();
       EXPECT_EQ(pooled.dominance_checks, serial.dominance_checks)
           << ToString(kernel) << " threads=" << threads;
       EXPECT_EQ(pooled.domination_scores, serial.domination_scores)

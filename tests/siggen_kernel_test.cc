@@ -18,7 +18,6 @@
 #include "kernels/dominance_kernel.h"
 #include "kernels/min_merge.h"
 #include "minhash/siggen.h"
-#include "parallel/parallel_ops.h"
 #include "parallel/thread_pool.h"
 #include "rtree/disk_rtree.h"
 #include "rtree/rtree.h"
@@ -158,15 +157,14 @@ TEST_P(SigGenIbKernelParityTest, KernelsAndTreesAgreeBitForBit) {
     EXPECT_EQ(tiled, 0u) << "no leaf can reach a full tile";
   }
 
-  // The subtree-parallel descent shares the leaf code: its result is the
-  // same under every kernel too (it numbers rows in DFS order, so it is
-  // compared with itself, not with the serial BFS run).
+  // The pooled descent numbers rows in the same depth-first layout: its
+  // result equals the inline scalar run under every kernel.
   ThreadPool pool(2);
   const auto family = MinHashFamily::Create(32, data.size(), 0x1b);
-  const auto base = ParallelSigGenIB(data, skyline, family, *tree, pool, DomKernel::kScalar);
+  const auto base = SigGenIB(data, skyline, family, *tree, DomKernel::kScalar);
   ASSERT_TRUE(base.ok());
-  for (const DomKernel kernel : {DomKernel::kTiled, DomKernel::kSimd}) {
-    const auto other = ParallelSigGenIB(data, skyline, family, *tree, pool, kernel);
+  for (const DomKernel kernel : kAllKernels) {
+    const auto other = SigGenIB(data, skyline, family, *tree, kernel, &pool);
     ASSERT_TRUE(other.ok());
     ExpectSameResult(other.value(), base.value(), name + " pooled " + ToString(kernel));
   }

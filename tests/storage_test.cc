@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -223,17 +224,18 @@ TEST(RTreeIoTest, MissingFileIsIoError) {
   EXPECT_TRUE(RTree::LoadFromFile("/nonexistent/tree.skyd").status().IsIoError());
 }
 
-// Writes an R-tree file header (dims, page size 4096, fill 0.4, cache 0.2,
-// size 1, root 0, height 1, `node_count` nodes) and one leaf node header
-// claiming `entry_count` entries, with a valid checksum but no entries.
+// Writes an R-tree file header (dims, `config`'s page size, fill and cache
+// fraction, size 1, root 0, height 1, `node_count` nodes) and one leaf node
+// header claiming `entry_count` entries, with a valid checksum but no
+// entries.
 void WriteTreeHeader(const std::string& path, uint32_t dims, uint64_t node_count,
-                     uint32_t entry_count) {
+                     uint32_t entry_count, const RTreeConfig& config = {}) {
   const char magic[8] = {'S', 'K', 'Y', 'D', 'R', 'T', 'R', '1'};
   BinaryWriter writer(path, magic);
   writer.WriteU32(dims);
-  writer.WriteU32(4096);
-  writer.WriteDouble(0.4);
-  writer.WriteDouble(0.2);
+  writer.WriteU32(config.page_size);
+  writer.WriteDouble(config.min_fill);
+  writer.WriteDouble(config.cache_fraction);
   writer.WriteU64(1);
   writer.WriteU32(0);
   writer.WriteU32(1);
@@ -258,6 +260,53 @@ TEST(RTreeIoTest, OversizedCountsAreIoErrorBeforeAllocating) {
   WriteTreeHeader(path, uint32_t{1} << 31, 1, 1);
   loaded = RTree::LoadFromFile(path);
   EXPECT_TRUE(loaded.status().IsIoError()) << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(RTreeIoTest, OutOfRangePagingFieldsAreRejected) {
+  // The header's cache fraction sizes the buffer pool through a cast to
+  // size_t, and its page size and fill shape every node: values outside
+  // their ranges are a Status, not undefined behaviour.
+  const std::string path = TempPath("rtree_paging.skyd");
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<RTreeConfig> bad;
+  for (const double fraction : {kNaN, -1.0, 0.0, 1e30}) {
+    RTreeConfig c;
+    c.cache_fraction = fraction;
+    bad.push_back(c);
+  }
+  for (const double fill : {kNaN, -1.0, 0.0, 0.75}) {
+    RTreeConfig c;
+    c.min_fill = fill;
+    bad.push_back(c);
+  }
+  for (const uint32_t page_size : {0u, 16u, 100u}) {
+    RTreeConfig c;
+    c.page_size = page_size;
+    bad.push_back(c);
+  }
+  for (const RTreeConfig& c : bad) {
+    WriteTreeHeader(path, 4, 1, 0, c);
+    const auto loaded = RTree::LoadFromFile(path);
+    EXPECT_TRUE(loaded.status().IsInvalidArgument())
+        << "page " << c.page_size << " fill " << c.min_fill << " cache "
+        << c.cache_fraction << ": " << loaded.status().ToString();
+  }
+  // Building from those values fails the same way.
+  const DataSet data = GenerateIndependent(200, 4, 97);
+  for (const RTreeConfig& c : bad) {
+    EXPECT_TRUE(RTree::BulkLoad(data, c).status().IsInvalidArgument());
+    EXPECT_TRUE(RTree::InsertLoad(data, c).status().IsInvalidArgument());
+  }
+  // The edges of the ranges are accepted.
+  RTreeConfig edge;
+  edge.cache_fraction = 1.0;
+  edge.min_fill = 0.5;
+  edge.page_size = 16 + 2 * (2 * 8 * 4 + 4 + 8);  // exactly two internal entries
+  auto tree = RTree::BulkLoad(data, edge);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  ASSERT_TRUE(tree->SaveToFile(path).ok());
+  EXPECT_TRUE(RTree::LoadFromFile(path).ok());
   std::remove(path.c_str());
 }
 

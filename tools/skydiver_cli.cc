@@ -158,9 +158,10 @@ int Run(int argc, char** argv) {
   flags.AddInt64("t", &t, "MinHash signature size");
   flags.AddString("select", &select, "selection distance: mh | lsh | bf (exact, small m)");
   flags.AddInt64("threads", &threads,
-                 "worker threads (0 = serial; 1+ picks the pooled plan backends)");
+                 "worker threads (0 = serial; 1+ runs every stage on a pool, "
+                 "bit-identical output)");
   flags.AddInt64("morsel", &morsel,
-                 "rows per work-stealing morsel for the pooled backends "
+                 "rows per work-stealing morsel for the pooled stages "
                  "(0 = auto; multiples of 64, bit-identical output for any value)");
   flags.AddString("kernel", &kernel,
                   "dominance kernel: simd (runtime-dispatched AVX2/NEON sweeps, "

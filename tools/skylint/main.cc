@@ -2,8 +2,9 @@
 //
 //   skylint --root <repo-root> [--rules a,b,c] [relative-paths...]
 //
-// With no explicit paths, lints every .cc/.h under src/, tools/, bench/
-// and tests/ (minus tests/skylint_fixtures). Prints one line per finding:
+// With no explicit paths, lints every .cc/.h/.cpp under src/, tools/,
+// bench/, tests/ (minus tests/skylint_fixtures) and examples/. Prints one
+// line per finding:
 //
 //   file:line: rule-id: message
 //
@@ -32,7 +33,7 @@ void PrintUsage() {
                "  --root DIR     repository root to lint (default: .)\n"
                "  --rules a,b,c  only report these rule ids (default: all)\n"
                "  paths          root-relative files to lint (default: all of\n"
-               "                 src/, tools/, bench/, tests/)\n");
+               "                 src/, tools/, bench/, tests/, examples/)\n");
 }
 
 /// Splits a comma-separated rule list; returns false (after printing the

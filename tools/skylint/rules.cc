@@ -223,6 +223,29 @@ void CheckLayering(const SourceFile& file, std::vector<Violation>* out) {
 }
 
 // -------------------------------------------------------------------------
+// perfbench-only
+// -------------------------------------------------------------------------
+
+// parallel/parallel_ops.h holds one-line forwarders under the names the
+// end-to-end benchmark calls, kept so that perfbench/main.cc stays fixed
+// across commits. Every other file calls the operators themselves (each
+// takes a ThreadPool*), so the old twin names never spread again.
+void CheckPerfbenchOnly(const SourceFile& file, std::vector<Violation>* out) {
+  if (StartsWith(file.path, "perfbench/")) return;
+  for (size_t i = 0; i < file.code.size(); ++i) {
+    if (!IsDirectiveLine(file.code[i])) continue;
+    std::smatch m;
+    if (std::regex_search(file.raw[i], m, kProjectIncludeRe) &&
+        m[1].str() == "parallel/parallel_ops.h") {
+      Report(file, i + 1, "perfbench-only",
+             "parallel/parallel_ops.h exists only for perfbench; call "
+             "SkylineSFS / SigGenIF / SelectDiverseSet with a ThreadPool*",
+             out);
+    }
+  }
+}
+
+// -------------------------------------------------------------------------
 // shared-state
 // -------------------------------------------------------------------------
 
@@ -679,9 +702,9 @@ const std::vector<std::string>& KnownRules() {
   static const std::vector<std::string> kRules = {
       "assert",           "determinism",     "discarded-status",
       "guarded-mutex",    "include-hygiene", "intrinsics",
-      "layering",         "lock-discipline", "pin-discipline",
-      "relaxed-ordering", "shared-state",    "thread-id-reduction",
-      "view-loops",
+      "layering",         "lock-discipline", "perfbench-only",
+      "pin-discipline",   "relaxed-ordering", "shared-state",
+      "thread-id-reduction", "view-loops",
   };
   return kRules;
 }
@@ -715,6 +738,7 @@ void LintFile(const SourceFile& file, const LintContext& context,
               std::vector<Violation>* out) {
   CheckDiscardedStatus(file, context.registry, out);
   CheckLayering(file, out);
+  CheckPerfbenchOnly(file, out);
   CheckSharedState(file, out);
   CheckDeterminism(file, out);
   CheckAssert(file, out);

@@ -34,7 +34,7 @@ SourceFile LoadFile(const std::string& root, const std::string& rel) {
 
 std::vector<std::string> DefaultFileSet(const std::string& root) {
   std::vector<std::string> out;
-  for (const char* top : {"src", "tools", "bench", "tests"}) {
+  for (const char* top : {"src", "tools", "bench", "tests", "examples"}) {
     const fs::path dir = fs::path(root) / top;
     if (!fs::exists(dir)) continue;
     for (const auto& entry : fs::recursive_directory_iterator(dir)) {

@@ -69,6 +69,10 @@
 //                      an evictable cache frame. Name the ref, check
 //                      RefOk, borrow via NodeOf (rtree/page_cache.h);
 //                      provably in-memory-only sites tag the line.
+//   perfbench-only     Nothing outside perfbench/ includes
+//                      parallel/parallel_ops.h: its forwarders keep the
+//                      names the end-to-end benchmark calls; everything
+//                      else calls the operators, which take a ThreadPool*.
 //
 // Suppressions: a comment containing `skylint:allow(<rule-id>)` silences
 // that rule on its line or, when placed in the contiguous comment block
