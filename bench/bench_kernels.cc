@@ -18,6 +18,11 @@
 // where scalar window probes exit after a pair or two. That tradeoff is
 // why --kernel=scalar stays a plan choice.
 //
+// Beside the three flavours, the FilterDominators micro runs once per
+// vector sweep backend the host runs (avx2, avx512; flavour = the ISA
+// name), in one process, so the backends compare cell by cell; each wider
+// backend should be no slower than the one below it within the spread.
+//
 // --json writes the full flavour x distribution x d grid (seconds, charged
 // checks, ns per check, checks/s) to a machine-readable file for tracking
 // the kernel ratios across hosts. SigGen-IF sweeps corner-pruned skyline
@@ -27,12 +32,13 @@
 // m checks per row.
 //
 // Two signature rows follow the grid. `merge_min` times the MinHash merge
-// kernel (kernels/min_merge.h) on every backend the host can run: one
-// 100-slot column merge per unit, "ns per merge". `siggen_ib` runs
-// SigGen-IB over the in-memory tree at IND d = 8 under each flavour (the
-// flavour classifies the leaf points): one (point, dominator) pair — a
-// unit of the summed domination scores — per unit, "ns per pair", the
-// figure perfbench reports as minhash.ns_per_pair.
+// kernel (kernels/min_merge.h) on every backend the host can run
+// (portable, avx2, avx512): one 100-slot column merge per unit, "ns per
+// merge". `siggen_ib` runs SigGen-IB over the in-memory tree at IND d = 8
+// under each flavour (the flavour classifies the leaf points): one
+// (point, dominator) pair — a unit of the summed domination scores — per
+// unit, "ns per pair", the figure perfbench reports as
+// minhash.ns_per_pair.
 //
 // Two Phase-2 rows follow. `select_row` times the greedy's distance row
 // (kernels/agree_row.h) on every backend the host can run — one distance
@@ -42,8 +48,9 @@
 // the Hamming distance of two ζ·B-bit BitVectors (LSH).
 //
 // Every JSON record carries its unit, its count and the spread of its
-// repetitions; the file carries the host facts (cores, ISA, merge backend,
-// compiler, build type) and the repetition count.
+// repetitions; the file carries the host facts (cores, ISA, the resolved
+// sweep, merge and agreement-row backends, compiler, build type) and the
+// repetition count.
 //
 // A second micro isolates the tile-aware BBS node prune: every tree
 // node's entry lo-corners, captured once from a full walk, are decided
@@ -76,7 +83,9 @@
 #include "common/timer.h"
 #include "core/dominance.h"
 #include "kernels/agree_row.h"
+#include "kernels/dominance_kernel.h"
 #include "kernels/min_merge.h"
+#include "kernels/simd_sweep.h"
 #include "kernels/tile_view.h"
 #include "lsh/lsh.h"
 #include "minhash/siggen.h"
@@ -113,6 +122,39 @@ Timing BestOf(Fn&& fn) {
 
 constexpr DomKernel kFlavours[] = {DomKernel::kScalar, DomKernel::kTiled,
                                    DomKernel::kSimd};
+
+// A kernel backend the host runs, by name.
+template <typename Fn>
+struct NamedBackend {
+  const char* name;
+  Fn fn;
+};
+
+// The portable backend, then each vector backend this build compiled and
+// this host runs, narrowest first.
+template <typename Fn>
+std::vector<NamedBackend<Fn>> HostBackends(Fn portable, Fn avx2, Fn avx512) {
+  std::vector<NamedBackend<Fn>> out = {{"portable", portable}};
+  if (avx2 != nullptr && HostRuns(SimdIsa::kAvx2)) out.push_back({"avx2", avx2});
+  if (avx512 != nullptr && HostRuns(SimdIsa::kAvx512)) out.push_back({"avx512", avx512});
+  return out;
+}
+
+// The vector sweep backends this build compiled and this host runs,
+// narrowest first.
+std::vector<SimdIsa> VectorSweepBackends() {
+  std::vector<SimdIsa> out;
+  if (kernel_internal::Avx2Sweep() != nullptr && HostRuns(SimdIsa::kAvx2)) {
+    out.push_back(SimdIsa::kAvx2);
+  }
+  if (kernel_internal::Avx512Sweep() != nullptr && HostRuns(SimdIsa::kAvx512)) {
+    out.push_back(SimdIsa::kAvx512);
+  }
+  if (kernel_internal::NeonSweep() != nullptr && HostRuns(SimdIsa::kNeon)) {
+    out.push_back(SimdIsa::kNeon);
+  }
+  return out;
+}
 
 // One grid cell for the JSON report: `count` units of work (dominance
 // checks, column merges or dominated pairs) in `timing.best` seconds.
@@ -155,8 +197,10 @@ void WriteJson(const std::string& path, const std::string& bench, RowId n,
   out << "{\n  \"bench\": \"" << bench << "\",\n  \"n\": " << n
       << ",\n  \"isa\": \"" << ToString(DetectSimdIsa()) << "\",\n  \"host\": {\"cores\": "
       << cores << ", \"isa\": \""
-      << ToString(DetectSimdIsa()) << "\", \"merge_backend\": \"" << MergeMinBackend()
-      << "\", \"compiler\": \"" << kCompiler << "\", \"build_type\": \""
+      << ToString(DetectSimdIsa()) << "\", \"sweep_backend\": \"" << SweepBackend()
+      << "\", \"merge_backend\": \"" << MergeMinBackend()
+      << "\", \"agree_backend\": \"" << AgreeRowBackend() << "\", \"compiler\": \""
+      << kCompiler << "\", \"build_type\": \""
       << SKYDIVER_BUILD_TYPE << "\"},\n  \"repetitions\": " << kReps
       << ",\n  \"statistic\": \"best of repetitions; spread = (worst - best) / best\""
       << ",\n  \"records\": [\n";
@@ -365,7 +409,9 @@ int Run(int argc, char** argv) {
     return 0;
   }
   const RowId paper_n = 100000;
-  std::printf("simd dispatch: %s\n\n", ToString(DetectSimdIsa()));
+  std::printf("simd dispatch: %s (sweep %s, merge %s, agreement row %s)\n\n",
+              ToString(DetectSimdIsa()), SweepBackend(), MergeMinBackend(),
+              AgreeRowBackend());
   ShapeChecks shape("kernels");
   TablePrinter table({"data", "dims", "n", "m", "sfs_scalar_s", "sfs_tiled_s",
                       "sfs_simd_s", "if_scalar_s", "if_tiled_s", "if_simd_s",
@@ -411,11 +457,8 @@ int Run(int argc, char** argv) {
       // materialized skyline tiles — the pure sweep, no consumer logic.
       // The mask digest doubles as a cross-flavour identity check.
       const TileSet sky_tiles = MaterializeTiles(data, skyline);
-      double fd_s[3];
-      uint64_t fd_digest[3] = {0, 0, 0};
-      for (size_t f = 0; f < 3; ++f) {
-        const DominanceKernel kernel(kFlavours[f]);
-        const Timing fd = BestOf([&] {
+      auto time_fd = [&](const DominanceKernel& kernel, uint64_t* digest_out) {
+        return BestOf([&] {
           uint64_t digest = 0;
           for (RowId r = 0; r < data.size(); ++r) {
             const auto p = data.row(r);
@@ -423,12 +466,30 @@ int Run(int argc, char** argv) {
               digest ^= kernel.FilterDominators(p, t.view()) + r;
             }
           }
-          fd_digest[f] = digest;
+          *digest_out = digest;
         });
+      };
+      double fd_s[3];
+      uint64_t fd_digest[3] = {0, 0, 0};
+      for (size_t f = 0; f < 3; ++f) {
+        const Timing fd = time_fd(DominanceKernel(kFlavours[f]), &fd_digest[f]);
         fd_s[f] = fd.best;
         records.push_back({workload, d, ToString(kFlavours[f]),
                            "filter_dominators", fd,
                            static_cast<uint64_t>(data.size()) * m});
+      }
+      // The same micro on each vector sweep backend the host runs, side by
+      // side in one process (the simd rows above run only the best one).
+      std::vector<std::pair<SimdIsa, Timing>> fd_backends;
+      for (const SimdIsa isa : VectorSweepBackends()) {
+        uint64_t digest = 0;
+        const Timing fd = time_fd(DominanceKernel::SimdAt(isa), &digest);
+        fd_backends.emplace_back(isa, fd);
+        records.push_back({workload, d, ToString(isa), "filter_dominators", fd,
+                           static_cast<uint64_t>(data.size()) * m});
+        shape.Check(workload + " d=" + std::to_string(d) + ": " + ToString(isa) +
+                        " sweep produces the scalar dominator masks",
+                    digest == fd_digest[0]);
       }
 
       table.Row({workload, TablePrinter::Int(d), TablePrinter::Int(data.size()),
@@ -461,6 +522,17 @@ int Run(int argc, char** argv) {
         shape.Check(tag + ": simd FilterDominators >= 1.3x tiled",
                     fd_s[2] * 1.3 <= fd_s[1]);
       }
+      // Each wider backend should be no slower than the one below it,
+      // within the larger of the two repetition spreads.
+      for (size_t b = 1; b < fd_backends.size() && m >= 256; ++b) {
+        const Timing& lower = fd_backends[b - 1].second;
+        const Timing& upper = fd_backends[b].second;
+        shape.Check(tag + ": " + ToString(fd_backends[b].first) +
+                        " FilterDominators no slower than " +
+                        ToString(fd_backends[b - 1].first),
+                    upper.best <=
+                        lower.best * (1.0 + std::max(lower.spread(), upper.spread())));
+      }
     }
   }
 
@@ -470,18 +542,13 @@ int Run(int argc, char** argv) {
   std::printf("\nMinHash merge (t = %zu) and SigGen-IB (IND d = 8)\n", kSignatureSize);
   TablePrinter sig_table({"op", "flavour", "count", "unit", "best_s", "ns_per_unit"});
   {
-    struct Backend {
-      const char* name;
-      kernel_internal::MergeMinFn fn;
-    };
-    std::vector<Backend> backends = {{"portable", kernel_internal::PortableMergeMin()}};
-    if (ProbeSimdIsa() == SimdIsa::kAvx2 && kernel_internal::Avx2MergeMin() != nullptr) {
-      backends.push_back({"avx2", kernel_internal::Avx2MergeMin()});
-    }
+    const auto backends =
+        HostBackends(kernel_internal::PortableMergeMin(), kernel_internal::Avx2MergeMin(),
+                     kernel_internal::Avx512MergeMin());
     const size_t columns = 64;
     const auto merges = static_cast<size_t>(4'000'000 / std::max(1.0, env.scale()));
     std::vector<uint64_t> digests;
-    for (const Backend& b : backends) {
+    for (const auto& b : backends) {
       uint64_t digest = 0;
       const Timing merge = TimeMergeMin(b.fn, columns, merges, &digest);
       digests.push_back(digest);
@@ -525,14 +592,9 @@ int Run(int argc, char** argv) {
     // against the per-pair baseline.
     std::printf("\nDistance rows (m = 4096): agreement kernel vs per-pair calls\n");
     TablePrinter row_table({"space", "width", "flavour", "count", "best_s", "ns_per_unit"});
-    struct Backend {
-      const char* name;
-      kernel_internal::AgreeRowFn fn;
-    };
-    std::vector<Backend> backends = {{"portable", kernel_internal::PortableAgreeRow()}};
-    if (ProbeSimdIsa() == SimdIsa::kAvx2 && kernel_internal::Avx2AgreeRow() != nullptr) {
-      backends.push_back({"avx2", kernel_internal::Avx2AgreeRow()});
-    }
+    const auto backends =
+        HostBackends(kernel_internal::PortableAgreeRow(), kernel_internal::Avx2AgreeRow(),
+                     kernel_internal::Avx512AgreeRow());
     const size_t columns = 4096;
     const auto rounds = static_cast<size_t>(std::max(1.0, 200 / std::max(1.0, env.scale())));
     const uint64_t count = static_cast<uint64_t>(rounds) * columns;
@@ -547,7 +609,7 @@ int Run(int argc, char** argv) {
                                        std::pair<const char*, size_t>{"LSH", 50}}) {
       const RowWorkload w = MakeRowWorkload(width, columns, env.seed() + width);
       std::vector<uint64_t> digests;
-      for (const Backend& b : backends) {
+      for (const auto& b : backends) {
         uint64_t digest = 0;
         add(space, width, b.name, TimeAgreeRow(b.fn, w, rounds, &digest));
         digests.push_back(digest);

@@ -10,6 +10,7 @@ const char* ToString(SimdIsa isa) {
     case SimdIsa::kNone: return "none";
     case SimdIsa::kPortable: return "portable";
     case SimdIsa::kAvx2: return "avx2";
+    case SimdIsa::kAvx512: return "avx512";
     case SimdIsa::kNeon: return "neon";
   }
   return "?";
@@ -21,7 +22,8 @@ SimdIsa ProbeSimdIsa() {
   return SimdIsa::kNeon;
 #elif (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") ? SimdIsa::kAvx2 : SimdIsa::kNone;
+  if (!__builtin_cpu_supports("avx2")) return SimdIsa::kNone;
+  return __builtin_cpu_supports("avx512f") ? SimdIsa::kAvx512 : SimdIsa::kAvx2;
 #else
   return SimdIsa::kNone;
 #endif
@@ -36,7 +38,9 @@ SimdIsa ApplyIsaOverride(SimdIsa probed, const char* force) {
   // A named ISA can only be kept, never enabled: forcing one the probe did
   // not find reports kNone (fail safe — we must never execute instructions
   // the hardware lacks).
-  if (name == "avx2") return probed == SimdIsa::kAvx2 ? probed : SimdIsa::kNone;
+  if (name == "avx512") return probed == SimdIsa::kAvx512 ? probed : SimdIsa::kNone;
+  // An override only restricts, so "avx2" caps an AVX-512 probe at AVX2.
+  if (name == "avx2") return IncludesAvx2(probed) ? SimdIsa::kAvx2 : SimdIsa::kNone;
   if (name == "neon") return probed == SimdIsa::kNeon ? probed : SimdIsa::kNone;
   return probed;  // unrecognized values are ignored
 }
@@ -45,6 +49,18 @@ SimdIsa DetectSimdIsa() {
   static const SimdIsa resolved =
       ApplyIsaOverride(ProbeSimdIsa(), std::getenv("SKYDIVER_FORCE_ISA"));
   return resolved;
+}
+
+bool HostRuns(SimdIsa isa) {
+  const SimdIsa probed = ProbeSimdIsa();
+  switch (isa) {
+    case SimdIsa::kNone:
+    case SimdIsa::kPortable: return true;
+    case SimdIsa::kAvx2: return IncludesAvx2(probed);
+    case SimdIsa::kAvx512:
+    case SimdIsa::kNeon: return probed == isa;
+  }
+  return false;
 }
 
 bool SimdAvailable() { return DetectSimdIsa() != SimdIsa::kNone; }

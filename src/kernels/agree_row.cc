@@ -5,6 +5,7 @@
 #include "kernels/agree_row.h"
 
 #include "common/cpu.h"
+#include "kernels/isa_dispatch.h"
 
 namespace skydiver {
 
@@ -34,21 +35,11 @@ AgreeRowFn PortableAgreeRow() { return &AgreeRowPortableImpl; }
 
 namespace {
 
-struct ResolvedRow {
-  kernel_internal::AgreeRowFn fn;
-  const char* name;
-};
-
-const ResolvedRow& Resolved() {
-  static const ResolvedRow resolved = [] {
-    if (DetectSimdIsa() == SimdIsa::kAvx2) {
-      if (const auto avx2 = kernel_internal::Avx2AgreeRow()) {
-        return ResolvedRow{avx2, "avx2"};
-      }
-    }
-    return ResolvedRow{kernel_internal::PortableAgreeRow(), "portable"};
-  }();
-  return resolved;
+const kernel_internal::IsaBackend<kernel_internal::AgreeRowFn>& Resolved() {
+  static const auto backend = kernel_internal::PickBackend(
+      DetectSimdIsa(), kernel_internal::Avx512AgreeRow(), kernel_internal::Avx2AgreeRow(),
+      kernel_internal::AgreeRowFn{nullptr}, kernel_internal::PortableAgreeRow());
+  return backend;
 }
 
 }  // namespace

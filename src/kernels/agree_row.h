@@ -14,9 +14,12 @@
 //   agree[j] = #{ l < width : columns[j·width + l] == pivot[l] }
 //
 // for every j < n whose `skip[j]` is 0. Like MergeMin (min_merge.h), it has
-// per-ISA backends in their own translation units: AVX2 compares 8 lanes
-// per `vpcmpeqd` with a masked tail, and a plain-C++ loop backs it up
-// everywhere else. Counting is exact, so the backend never changes a bit.
+// per-ISA backends in their own translation units: AVX-512 compares 16
+// lanes per `vpcmpeqd` into a mask register and counts it with popcnt,
+// AVX2 compares 8 lanes per `vpcmpeqd`, both with a masked tail, and a
+// plain-C++ loop backs them up everywhere else. The dispatch runs the best
+// one the probe allows (kernels/isa_dispatch.h). Counting is exact, so the
+// backend never changes a bit.
 
 #pragma once
 
@@ -33,7 +36,7 @@ namespace skydiver {
 void AgreeRow(const uint32_t* pivot, const uint32_t* columns, size_t width, size_t n,
               const uint8_t* skip, uint32_t* agree);
 
-/// Name of the backend AgreeRow runs on ("avx2" or "portable").
+/// Name of the backend AgreeRow runs on ("avx512", "avx2" or "portable").
 const char* AgreeRowBackend();
 
 /// A distance over points stored as the columns of a column-major matrix of
@@ -63,6 +66,10 @@ AgreeRowFn PortableAgreeRow();
 /// AVX2 row (8 x uint32 `vpcmpeqd` per step, masked tail); nullptr when
 /// this build has no AVX2 backend.
 AgreeRowFn Avx2AgreeRow();
+
+/// AVX-512 row (16 x uint32 `vpcmpeqd` into a mask + popcnt per step,
+/// masked tail); nullptr when this build has no AVX-512 backend.
+AgreeRowFn Avx512AgreeRow();
 
 }  // namespace kernel_internal
 

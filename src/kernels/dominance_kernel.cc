@@ -1,9 +1,12 @@
 #include "kernels/dominance_kernel.h"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
+#include "kernels/isa_dispatch.h"
 #include "kernels/simd_sweep.h"
 
 namespace skydiver {
@@ -30,20 +33,33 @@ namespace kernel_internal {
 /// One resolved implementation per flavour; every DominanceKernel entry
 /// point forwards through exactly one of these tables, so adding a
 /// flavour means adding a table — call sites never branch on the kind.
+/// Each entry takes the kernel's sweep backend first; only the simd
+/// flavour reads it.
 struct KernelOps {
-  uint64_t (*filter_dominated)(std::span<const Coord> p, const TileView& tile);
-  uint64_t (*filter_dominators)(std::span<const Coord> p, const TileView& tile);
-  uint64_t (*filter_weakly_dominated)(std::span<const Coord> p, const TileView& tile);
-  bool (*any_dominator)(std::span<const Coord> p, const TileView& tile);
-  BlockClassification (*classify_block)(std::span<const Coord> p,
+  uint64_t (*filter_dominated)(SweepFn sweep, std::span<const Coord> p,
+                               const TileView& tile);
+  uint64_t (*filter_dominators)(SweepFn sweep, std::span<const Coord> p,
+                                const TileView& tile);
+  uint64_t (*filter_weakly_dominated)(SweepFn sweep, std::span<const Coord> p,
+                                      const TileView& tile);
+  bool (*any_dominator)(SweepFn sweep, std::span<const Coord> p, const TileView& tile);
+  BlockClassification (*classify_block)(SweepFn sweep, std::span<const Coord> p,
                                         const TileView& tile);
-  uint64_t (*prune_corners)(const TileView& corners, const TileView& skyline);
+  uint64_t (*prune_corners)(SweepFn sweep, const TileView& corners,
+                            const TileView& skyline);
 };
+
+/// The best sweep a host at `isa` runs: avx512, then avx2, then portable;
+/// neon on kNeon.
+IsaBackend<SweepFn> SweepFor(SimdIsa isa) {
+  return PickBackend(isa, Avx512Sweep(), Avx2Sweep(), NeonSweep(), PortableSweep());
+}
 
 }  // namespace kernel_internal
 
 namespace {
 
+using kernel_internal::IsaBackend;
 using kernel_internal::KernelOps;
 using kernel_internal::SweepFn;
 using kernel_internal::SweepStop;
@@ -58,7 +74,7 @@ void ChargeTile(const TileView& tile) {
 // Scalar flavour: per-row calls with the pre-kernel loops' early exits.
 // -------------------------------------------------------------------------
 
-uint64_t ScalarFilterDominated(std::span<const Coord> p, const TileView& tile) {
+uint64_t ScalarFilterDominated(SweepFn, std::span<const Coord> p, const TileView& tile) {
   uint64_t mask = 0;
   for (size_t r = 0; r < tile.rows; ++r) {
     ++DominanceCounter::Count();
@@ -78,7 +94,7 @@ uint64_t ScalarFilterDominated(std::span<const Coord> p, const TileView& tile) {
   return mask;
 }
 
-uint64_t ScalarFilterDominators(std::span<const Coord> p, const TileView& tile) {
+uint64_t ScalarFilterDominators(SweepFn, std::span<const Coord> p, const TileView& tile) {
   uint64_t mask = 0;
   for (size_t r = 0; r < tile.rows; ++r) {
     ++DominanceCounter::Count();
@@ -98,7 +114,8 @@ uint64_t ScalarFilterDominators(std::span<const Coord> p, const TileView& tile) 
   return mask;
 }
 
-uint64_t ScalarFilterWeaklyDominated(std::span<const Coord> p, const TileView& tile) {
+uint64_t ScalarFilterWeaklyDominated(SweepFn, std::span<const Coord> p,
+                                     const TileView& tile) {
   uint64_t mask = 0;
   for (size_t r = 0; r < tile.rows; ++r) {
     ++DominanceCounter::Count();
@@ -114,7 +131,7 @@ uint64_t ScalarFilterWeaklyDominated(std::span<const Coord> p, const TileView& t
   return mask;
 }
 
-bool ScalarAnyDominator(std::span<const Coord> p, const TileView& tile) {
+bool ScalarAnyDominator(SweepFn, std::span<const Coord> p, const TileView& tile) {
   for (size_t r = 0; r < tile.rows; ++r) {
     ++DominanceCounter::Count();
     bool strictly_better = false;
@@ -133,7 +150,7 @@ bool ScalarAnyDominator(std::span<const Coord> p, const TileView& tile) {
   return false;
 }
 
-BlockClassification ScalarClassifyBlock(std::span<const Coord> p,
+BlockClassification ScalarClassifyBlock(SweepFn, std::span<const Coord> p,
                                         const TileView& tile) {
   BlockClassification out;
   for (size_t r = 0; r < tile.rows; ++r) {
@@ -156,7 +173,7 @@ BlockClassification ScalarClassifyBlock(std::span<const Coord> p,
   return out;
 }
 
-uint64_t ScalarPruneCorners(const TileView& corners, const TileView& skyline) {
+uint64_t ScalarPruneCorners(SweepFn, const TileView& corners, const TileView& skyline) {
   uint64_t pruned = 0;
   for (size_t c = 0; c < corners.rows; ++c) {
     for (size_t s = 0; s < skyline.rows; ++s) {
@@ -252,32 +269,33 @@ uint64_t Pack(const TileView& tile, Fn take) {
   return mask;
 }
 
-uint64_t TiledFilterDominated(std::span<const Coord> p, const TileView& tile) {
+uint64_t TiledFilterDominated(SweepFn, std::span<const Coord> p, const TileView& tile) {
   SweepFlags flags;
   SweepImpl<StopWhen::kAllGt>(p, tile, &flags);
   ChargeTile(tile);
   return Pack(tile, [&](size_t r) { return flags.lt[r] && !flags.gt[r]; });
 }
 
-uint64_t TiledFilterDominators(std::span<const Coord> p, const TileView& tile) {
+uint64_t TiledFilterDominators(SweepFn, std::span<const Coord> p, const TileView& tile) {
   SweepFlags flags;
   SweepImpl<StopWhen::kAllLt>(p, tile, &flags);
   ChargeTile(tile);
   return Pack(tile, [&](size_t r) { return flags.gt[r] && !flags.lt[r]; });
 }
 
-uint64_t TiledFilterWeaklyDominated(std::span<const Coord> p, const TileView& tile) {
+uint64_t TiledFilterWeaklyDominated(SweepFn, std::span<const Coord> p,
+                                    const TileView& tile) {
   SweepFlags flags;
   SweepImpl<StopWhen::kAllGt>(p, tile, &flags);
   ChargeTile(tile);
   return Pack(tile, [&](size_t r) { return !flags.gt[r]; });
 }
 
-bool TiledAnyDominator(std::span<const Coord> p, const TileView& tile) {
-  return TiledFilterDominators(p, tile) != 0;
+bool TiledAnyDominator(SweepFn sweep, std::span<const Coord> p, const TileView& tile) {
+  return TiledFilterDominators(sweep, p, tile) != 0;
 }
 
-BlockClassification TiledClassifyBlock(std::span<const Coord> p,
+BlockClassification TiledClassifyBlock(SweepFn, std::span<const Coord> p,
                                        const TileView& tile) {
   SweepFlags flags;
   SweepImpl<StopWhen::kAllBoth>(p, tile, &flags);
@@ -299,16 +317,23 @@ std::span<const Coord> GatherRow(const TileView& tile, size_t r) {
 }
 
 // Componentwise maximum of a tile's occupied rows — the hi-corner of the
-// tile's own bounding box. Thread-local scratch for the same reason as
-// GatherRow's.
+// tile's own bounding box. A NaN anywhere in a column makes that
+// dimension's ceiling NaN: a NaN corner ties with every skyline value, so
+// no number bounds the rows that may dominate it, and a NaN ceiling (a tie
+// with every row) screens none out. Thread-local scratch for the same
+// reason as GatherRow's.
 std::span<const Coord> TileCeiling(const TileView& tile) {
   thread_local std::vector<Coord> ceiling;
   if (ceiling.size() < tile.dims) ceiling.resize(tile.dims);
   for (size_t d = 0; d < tile.dims; ++d) {
     const Coord* col = tile.cols + d * kTileRows;
     Coord hi = col[0];
-    for (size_t r = 1; r < tile.rows; ++r) hi = col[r] > hi ? col[r] : hi;
-    ceiling[d] = hi;
+    bool nan = false;
+    for (size_t r = 0; r < tile.rows; ++r) {
+      nan |= std::isnan(col[r]);
+      hi = col[r] > hi ? col[r] : hi;
+    }
+    ceiling[d] = nan ? std::numeric_limits<Coord>::quiet_NaN() : hi;
   }
   return std::span<const Coord>(ceiling.data(), tile.dims);
 }
@@ -324,7 +349,7 @@ std::span<const Coord> TileCeiling(const TileView& tile) {
 // surviving candidate is then swept across the corner tile (transposed:
 // probe = skyline row, tile = corners), accumulating the pruned mask and
 // stopping once it saturates.
-uint64_t TiledPruneCorners(const TileView& corners, const TileView& skyline) {
+uint64_t TiledPruneCorners(SweepFn, const TileView& corners, const TileView& skyline) {
   if (corners.rows == 0 || skyline.rows == 0) return 0;
   SweepFlags screen;
   SweepImpl<StopWhen::kAllLt>(TileCeiling(corners), skyline, &screen);
@@ -350,67 +375,58 @@ constexpr KernelOps kTiledOps = {
 };
 
 // -------------------------------------------------------------------------
-// Simd flavour: word-mask sweeps behind the runtime ISA dispatch. The
-// sweep backend (AVX2 / NEON / portable) is picked once per process from
-// the cached CPU probe; every entry point derives its mask from the same
-// (lt, gt) words the tiled flavour keeps as bytes, so masks are
-// bit-identical across all three flavours by construction.
+// Simd flavour: word-mask sweeps on the kernel's sweep backend (AVX-512 /
+// AVX2 / NEON / portable), picked at construction from the cached CPU
+// probe unless a test or bench names one. Every entry point derives its
+// mask from the same (lt, gt) words the tiled flavour keeps as bytes, so
+// masks are bit-identical across all flavours and backends by
+// construction.
 // -------------------------------------------------------------------------
 
-SweepFn ResolvedSweep() {
-  static const SweepFn fn = [] {
-    switch (DetectSimdIsa()) {
-      case SimdIsa::kAvx2:
-        if (const SweepFn avx2 = kernel_internal::Avx2Sweep()) return avx2;
-        break;
-      case SimdIsa::kNeon:
-        if (const SweepFn neon = kernel_internal::NeonSweep()) return neon;
-        break;
-      case SimdIsa::kPortable:
-      case SimdIsa::kNone:
-        break;
-    }
-    return kernel_internal::PortableSweep();
-  }();
-  return fn;
+const IsaBackend<SweepFn>& ResolvedSweep() {
+  static const IsaBackend<SweepFn> backend = kernel_internal::SweepFor(DetectSimdIsa());
+  return backend;
 }
 
-uint64_t SimdFilterDominated(std::span<const Coord> p, const TileView& tile) {
+uint64_t SimdFilterDominated(SweepFn sweep, std::span<const Coord> p,
+                             const TileView& tile) {
   uint64_t lt = 0, gt = 0;
-  ResolvedSweep()(p.data(), tile, SweepStop::kAllGt, &lt, &gt);
+  sweep(p.data(), tile, SweepStop::kAllGt, &lt, &gt);
   ChargeTile(tile);
   return lt & ~gt;
 }
 
-uint64_t SimdFilterDominators(std::span<const Coord> p, const TileView& tile) {
+uint64_t SimdFilterDominators(SweepFn sweep, std::span<const Coord> p,
+                              const TileView& tile) {
   uint64_t lt = 0, gt = 0;
-  ResolvedSweep()(p.data(), tile, SweepStop::kAllLt, &lt, &gt);
+  sweep(p.data(), tile, SweepStop::kAllLt, &lt, &gt);
   ChargeTile(tile);
   return gt & ~lt;
 }
 
-uint64_t SimdFilterWeaklyDominated(std::span<const Coord> p, const TileView& tile) {
+uint64_t SimdFilterWeaklyDominated(SweepFn sweep, std::span<const Coord> p,
+                                   const TileView& tile) {
   uint64_t lt = 0, gt = 0;
-  ResolvedSweep()(p.data(), tile, SweepStop::kAllGt, &lt, &gt);
+  sweep(p.data(), tile, SweepStop::kAllGt, &lt, &gt);
   ChargeTile(tile);
   return tile.FullMask() & ~gt;
 }
 
-bool SimdAnyDominator(std::span<const Coord> p, const TileView& tile) {
-  return SimdFilterDominators(p, tile) != 0;
+bool SimdAnyDominator(SweepFn sweep, std::span<const Coord> p, const TileView& tile) {
+  return SimdFilterDominators(sweep, p, tile) != 0;
 }
 
-BlockClassification SimdClassifyBlock(std::span<const Coord> p,
+BlockClassification SimdClassifyBlock(SweepFn sweep, std::span<const Coord> p,
                                       const TileView& tile) {
   uint64_t lt = 0, gt = 0;
-  ResolvedSweep()(p.data(), tile, SweepStop::kAllBoth, &lt, &gt);
+  sweep(p.data(), tile, SweepStop::kAllBoth, &lt, &gt);
   ChargeTile(tile);
   return BlockClassification{lt & ~gt, gt & ~lt};
 }
 
-uint64_t SimdPruneCorners(const TileView& corners, const TileView& skyline) {
+uint64_t SimdPruneCorners(SweepFn sweep, const TileView& corners,
+                          const TileView& skyline) {
   if (corners.rows == 0 || skyline.rows == 0) return 0;
-  const SweepFn sweep = ResolvedSweep();
   uint64_t lt = 0, gt = 0;
   sweep(TileCeiling(corners).data(), skyline, SweepStop::kAllLt, &lt, &gt);
   ChargeTile(skyline);  // the ceiling screen (see TiledPruneCorners)
@@ -445,36 +461,46 @@ const KernelOps* Resolve(DomKernel kind) {
 }  // namespace
 
 DominanceKernel::DominanceKernel(DomKernel kind)
-    : kind_(kind), ops_(Resolve(kind)) {}
+    : kind_(kind),
+      ops_(Resolve(kind)),
+      sweep_(kind == DomKernel::kSimd ? ResolvedSweep().fn : nullptr) {}
+
+DominanceKernel DominanceKernel::SimdAt(SimdIsa isa) {
+  DominanceKernel kernel(DomKernel::kSimd);
+  kernel.sweep_ = kernel_internal::SweepFor(isa).fn;
+  return kernel;
+}
+
+const char* SweepBackend() { return ResolvedSweep().name; }
 
 uint64_t DominanceKernel::FilterDominated(std::span<const Coord> p,
                                           const TileView& tile) const {
-  return ops_->filter_dominated(p, tile);
+  return ops_->filter_dominated(sweep_, p, tile);
 }
 
 uint64_t DominanceKernel::FilterDominators(std::span<const Coord> p,
                                            const TileView& tile) const {
-  return ops_->filter_dominators(p, tile);
+  return ops_->filter_dominators(sweep_, p, tile);
 }
 
 uint64_t DominanceKernel::FilterWeaklyDominated(std::span<const Coord> p,
                                                 const TileView& tile) const {
-  return ops_->filter_weakly_dominated(p, tile);
+  return ops_->filter_weakly_dominated(sweep_, p, tile);
 }
 
 bool DominanceKernel::AnyDominator(std::span<const Coord> p,
                                    const TileView& tile) const {
-  return ops_->any_dominator(p, tile);
+  return ops_->any_dominator(sweep_, p, tile);
 }
 
 BlockClassification DominanceKernel::ClassifyBlock(std::span<const Coord> p,
                                                    const TileView& tile) const {
-  return ops_->classify_block(p, tile);
+  return ops_->classify_block(sweep_, p, tile);
 }
 
 uint64_t DominanceKernel::PruneCorners(const TileView& corners,
                                        const TileView& skyline) const {
-  return ops_->prune_corners(corners, skyline);
+  return ops_->prune_corners(sweep_, corners, skyline);
 }
 
 }  // namespace skydiver

@@ -27,10 +27,11 @@
 //     tile, accumulating per-row "probe is less somewhere" / "probe is
 //     greater somewhere" byte flags, from which all results derive.
 //   * kSimd   — the same sweep with explicit compare-to-mask vector
-//     instructions accumulating the flags as 64-bit words: AVX2 (4 x
-//     double lanes, movemask) or NEON (2 x double lanes), chosen by the
-//     runtime CPU probe in common/cpu.h, with a portable word-mask
-//     fallback. SKYDIVER_FORCE_ISA overrides the probe for testing.
+//     instructions accumulating the flags as 64-bit words: AVX-512 (8 x
+//     double lanes into mask registers), AVX2 (4 x double lanes,
+//     movemask) or NEON (2 x double lanes), the best the runtime CPU
+//     probe in common/cpu.h allows, with a portable word-mask fallback.
+//     SKYDIVER_FORCE_ISA overrides the probe for testing.
 //
 // All flavours report identical masks; only the dominance-check
 // accounting differs. COUNTING RULE: the batched flavours (kTiled and
@@ -62,7 +63,7 @@ namespace skydiver {
 enum class DomKernel : uint8_t {
   kScalar,  ///< Reference per-pair loops (core/dominance.h).
   kTiled,   ///< Branch-free 64-row column-major tile sweeps (byte flags).
-  kSimd,    ///< Explicit AVX2/NEON compare-to-mask sweeps (word flags).
+  kSimd,    ///< Explicit AVX-512/AVX2/NEON compare-to-mask sweeps (word flags).
 };
 
 const char* ToString(DomKernel kernel);
@@ -102,16 +103,29 @@ struct BlockClassification {
   uint64_t dominators = 0;  ///< rows that strictly dominate the probe
 };
 
+/// Name of the sweep backend the simd flavour resolved to on this host
+/// ("avx512", "avx2", "neon" or "portable").
+const char* SweepBackend();
+
 namespace kernel_internal {
 struct KernelOps;  // per-flavour dispatch table (dominance_kernel.cc)
+enum class SweepStop : uint8_t;  // the simd sweep contract (simd_sweep.h)
+using SweepFn = void (*)(const Coord* p, const TileView& tile, SweepStop stop,
+                         uint64_t* lt, uint64_t* gt);
 }  // namespace kernel_internal
 
 /// Batched dominance tests behind a kernel selector. Cheap to copy. The
 /// flavour (and, for kSimd, the probed ISA backend) is resolved once at
-/// construction into a function-pointer table.
+/// construction into a function-pointer table and a sweep backend.
 class DominanceKernel {
  public:
   explicit DominanceKernel(DomKernel kind = DomKernel::kTiled);
+
+  /// The simd flavour on the sweep backend a host at `isa` would resolve
+  /// to, rather than this host's: parity tests and the kernel bench compare
+  /// backends in one process with it. The caller checks HostRuns(isa)
+  /// (common/cpu.h) first.
+  static DominanceKernel SimdAt(SimdIsa isa);
 
   DomKernel kind() const { return kind_; }
   bool batched() const { return IsBatched(kind_); }
@@ -150,6 +164,7 @@ class DominanceKernel {
  private:
   DomKernel kind_;
   const kernel_internal::KernelOps* ops_;
+  kernel_internal::SweepFn sweep_;  ///< null unless kind_ == kSimd
 };
 
 }  // namespace skydiver

@@ -5,6 +5,7 @@
 #include "kernels/min_merge.h"
 
 #include "common/cpu.h"
+#include "kernels/isa_dispatch.h"
 
 namespace skydiver {
 
@@ -24,21 +25,11 @@ MergeMinFn PortableMergeMin() { return &MergeMinPortableImpl; }
 
 namespace {
 
-struct ResolvedMerge {
-  kernel_internal::MergeMinFn fn;
-  const char* name;
-};
-
-const ResolvedMerge& Resolved() {
-  static const ResolvedMerge resolved = [] {
-    if (DetectSimdIsa() == SimdIsa::kAvx2) {
-      if (const auto avx2 = kernel_internal::Avx2MergeMin()) {
-        return ResolvedMerge{avx2, "avx2"};
-      }
-    }
-    return ResolvedMerge{kernel_internal::PortableMergeMin(), "portable"};
-  }();
-  return resolved;
+const kernel_internal::IsaBackend<kernel_internal::MergeMinFn>& Resolved() {
+  static const auto backend = kernel_internal::PickBackend(
+      DetectSimdIsa(), kernel_internal::Avx512MergeMin(), kernel_internal::Avx2MergeMin(),
+      kernel_internal::MergeMinFn{nullptr}, kernel_internal::PortableMergeMin());
+  return backend;
 }
 
 }  // namespace

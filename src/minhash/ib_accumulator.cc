@@ -5,14 +5,6 @@
 
 namespace skydiver {
 
-namespace {
-
-// Up to this many row ids apart, stepping the previous row's hash forward
-// is cheaper than t divisions.
-constexpr uint64_t kMaxHashSteps = 8;
-
-}  // namespace
-
 CandidateTiles::CandidateTiles(std::span<const std::span<const Coord>> sky,
                                DomKernel kernel)
     : sky_(sky),
@@ -86,7 +78,7 @@ IbAccumulator::IbAccumulator(std::span<const std::span<const Coord>> sky,
       signatures_(signatures),
       scores_(scores),
       tiles_(sky, kernel),
-      row_(family.size()),
+      hasher_(family),
       range_min_(family.size()) {
   SKYDIVER_DCHECK(family.fits_slots());
 }
@@ -94,13 +86,10 @@ IbAccumulator::IbAccumulator(std::span<const std::span<const Coord>> sky,
 void IbAccumulator::AddRange(uint64_t base, uint64_t count, std::span<const size_t> full) {
   if (full.empty() || count == 0) return;
   const size_t t = family_.size();
-  family_.HashRow(base, range_min_.data());
-  if (count > 1) {
-    std::copy(range_min_.begin(), range_min_.end(), row_.begin());
-    for (uint64_t c = 1; c < count; ++c) {
-      family_.StepRow(row_.data());
-      MergeMin(range_min_.data(), row_.data(), t);
-    }
+  const uint32_t* first = hasher_.Row(base);
+  std::copy(first, first + t, range_min_.begin());
+  for (uint64_t c = 1; c < count; ++c) {
+    MergeMin(range_min_.data(), hasher_.Row(base + c), t);
   }
   for (size_t j : full) {
     (*scores_)[j] += count;
@@ -118,25 +107,16 @@ void IbAccumulator::AddLeaf(const RTreeNode& leaf, uint64_t base,
   // points' hashes into one range minimum and merge it once per column.
   const bool any_full = !full.empty();
   if (any_full) std::fill(range_min_.begin(), range_min_.end(), kEmptySlot32);
-  bool hashed = false;
-  uint64_t hashed_row = 0;
   for (size_t k = 0; k < points; ++k) {
     dominators_.clear();
     tiles_.ForEachDominator(leaf.entries[k].mbr.lo(),
                             [&](size_t j) { dominators_.push_back(j); });
     if (!any_full && dominators_.empty()) continue;
-    const uint64_t row = base + k;
-    if (hashed && row - hashed_row <= kMaxHashSteps) {
-      for (; hashed_row < row; ++hashed_row) family_.StepRow(row_.data());
-    } else {
-      family_.HashRow(row, row_.data());
-      hashed_row = row;
-      hashed = true;
-    }
-    if (any_full) MergeMin(range_min_.data(), row_.data(), t);
+    const uint32_t* row = hasher_.Row(base + k);
+    if (any_full) MergeMin(range_min_.data(), row, t);
     for (size_t j : dominators_) {
       ++(*scores_)[j];
-      signatures_->MergeMin(j, row_.data());
+      signatures_->MergeMin(j, row);
     }
   }
   if (!any_full || points == 0) return;

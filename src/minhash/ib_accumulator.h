@@ -108,8 +108,8 @@ class IbAccumulator {
 
   /// Adds the `count` row ids from `base` to every column of `full` (a
   /// subtree each of them dominates entirely). The hash minimum over the
-  /// range is computed once, stepping h(x) to h(x+1) without division,
-  /// and merged into each column.
+  /// range is computed once, stepping h(x) to h(x+1) without division
+  /// (RowHasher), and merged into each column.
   void AddRange(uint64_t base, uint64_t count, std::span<const size_t> full);
 
   /// Adds the points of one leaf. Each point's dominators are every column
@@ -132,7 +132,7 @@ class IbAccumulator {
   SignatureMatrix* signatures_;
   std::vector<uint64_t>* scores_;
   CandidateTiles tiles_;
-  std::vector<uint32_t> row_;        // h(x) of the current row id
+  RowHasher hasher_;                 // h(x) of the current row id
   std::vector<uint32_t> range_min_;  // running minimum over a range / leaf
   std::vector<size_t> dominators_;   // candidate columns dominating a point
 };

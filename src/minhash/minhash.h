@@ -116,6 +116,38 @@ class MinHashFamily {
   std::vector<uint32_t> wrap_;
 };
 
+/// Up to this many row ids apart, stepping an earlier row's hashes forward
+/// with StepRow is cheaper than hashing afresh (t divisions).
+inline constexpr uint64_t kMaxHashSteps = 8;
+
+/// h(x) of a `family` (which must fit slots) for a mostly rising run of row
+/// ids: Row(x) steps from the last row it hashed when that row is at most
+/// kMaxHashSteps behind x, and hashes afresh otherwise. Both forms are
+/// exact, so the values never depend on the order of the calls.
+class RowHasher {
+ public:
+  explicit RowHasher(const MinHashFamily& family)
+      : family_(family), row_(family.size()) {}
+
+  /// The t hash values of row `x`, valid until the next call.
+  const uint32_t* Row(uint64_t x) {
+    if (hashed_ && x >= x_ && x - x_ <= kMaxHashSteps) {
+      for (; x_ < x; ++x_) family_.StepRow(row_.data());
+    } else {
+      family_.HashRow(x, row_.data());
+      x_ = x;
+      hashed_ = true;
+    }
+    return row_.data();
+  }
+
+ private:
+  const MinHashFamily& family_;
+  std::vector<uint32_t> row_;
+  uint64_t x_ = 0;       // the row row_ holds, once hashed_
+  bool hashed_ = false;
+};
+
 /// OK when `family` can produce a SignatureMatrix (P ≤ kMaxSignaturePrime,
 /// so every slot value fits 32 bits); InvalidArgument otherwise. Every
 /// signature producer checks this before it writes a slot.

@@ -46,18 +46,16 @@ void SigGenIfRows(const DataSet& data, const std::vector<bool>& is_skyline,
                   SignatureMatrix* signatures, std::vector<uint64_t>* scores) {
   // Hash values of the current row, computed once and min-merged into every
   // dominating column (equivalent to the paper's per-column UpdateMatrix,
-  // which re-evaluates the same t hashes).
-  std::vector<uint32_t> row_hash(family.size());
+  // which re-evaluates the same t hashes). Dominated rows sit close
+  // together, so the hasher mostly steps from the previous one.
+  RowHasher hasher(family);
   for (uint64_t r = begin; r < end; ++r) {
     if (is_skyline[r]) continue;  // skyline points belong to no Γ set
-    bool hashed = false;
+    const uint32_t* row_hash = nullptr;
     blocks.ForEachDominator(data.row(static_cast<RowId>(r)), kernel, [&](size_t j) {
       ++(*scores)[j];
-      if (!hashed) {
-        family.HashRow(r, row_hash.data());
-        hashed = true;
-      }
-      signatures->MergeMin(j, row_hash.data());
+      if (row_hash == nullptr) row_hash = hasher.Row(r);
+      signatures->MergeMin(j, row_hash);
     });
   }
 }

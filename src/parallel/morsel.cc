@@ -29,9 +29,9 @@ bool MorselQueue::Next(Claim* out) {
   // skylint:allow(relaxed-ordering): atomicity-only claim counter. The
   // fetch_add's uniqueness gives this claim exclusive rows and an
   // exclusive reduction slot; the ordering edge that publishes slot
-  // contents to the reducing caller is carried by ThreadPool's mutex_
-  // (worker finishes task -> --in_flight_ under mutex_ -> Wait() returns),
-  // the same protocol as the documented dominance-check harvest.
+  // contents to the reducing caller is carried by the mutex of RunMorsels'
+  // per-call group (worker finishes its claims -> --pending_ under the
+  // group's mutex -> the caller's wait sees pending_ == 0 under it).
   const uint64_t claim = next_claim_.fetch_add(1, std::memory_order_relaxed);
   if (claim >= slots_) return false;
   out->slot = static_cast<size_t>(claim);
@@ -45,11 +45,50 @@ bool MorselQueue::Next(Claim* out) {
   return true;
 }
 
+namespace {
+
+// The claims of one RunMorsels call on a shared pool: how many of its
+// tasks are still running, and the dominance checks those tasks charged.
+// The caller waits on this group alone, so callers sharing a pool neither
+// wait for nor count each other's claims.
+class ClaimGroup {
+ public:
+  explicit ClaimGroup(size_t tasks) : pending_(tasks) {}
+
+  // Runs one task's claims and charges its checks to the group. The
+  // notify happens under the lock, so the caller cannot see the group
+  // drain (and destroy it) while this task still touches it.
+  void RunTask(const std::function<void()>& drain) {
+    const uint64_t total_before = DominanceCounter::Count();
+    const uint64_t tiled_before = DominanceCounter::TiledCount();
+    drain();
+    MutexLock lock(mutex_);
+    checks_.total += DominanceCounter::Count() - total_before;
+    checks_.tiled += DominanceCounter::TiledCount() - tiled_before;
+    if (--pending_ == 0) done_.NotifyAll();
+  }
+
+  // Blocks until every task has run, then returns their checks.
+  DominanceHarvest Wait() {
+    MutexLock lock(mutex_);
+    while (pending_ != 0) done_.Wait(mutex_);
+    return checks_;
+  }
+
+ private:
+  Mutex mutex_;
+  CondVar done_;
+  size_t pending_ SKYDIVER_GUARDED_BY(mutex_);
+  DominanceHarvest checks_ SKYDIVER_GUARDED_BY(mutex_);
+};
+
+}  // namespace
+
 void RunMorsels(ThreadPool* pool, MorselQueue& queue,
                 const std::function<void(const MorselQueue::Claim&)>& body,
                 const std::function<void(const MorselQueue::Claim&)>* stall) {
   if (queue.slots() == 0) return;
-  const auto drain = [&queue, &body, stall] {
+  const std::function<void()> drain = [&queue, &body, stall] {
     MorselQueue::Claim claim;
     while (queue.Next(&claim)) {
       if (stall != nullptr && *stall) (*stall)(claim);
@@ -60,12 +99,17 @@ void RunMorsels(ThreadPool* pool, MorselQueue& queue,
     drain();
     return;
   }
-  (void)pool->HarvestDominanceChecks();  // drop leftovers from earlier pool users
   const size_t workers = std::min(std::max<size_t>(1, pool->size()), queue.slots());
-  std::vector<std::function<void()>> tasks(workers, std::function<void()>(drain));
-  if (!pool->SubmitBatch(tasks)) drain();  // pool shutting down: finish inline
-  pool->Wait();
-  const DominanceHarvest h = pool->HarvestDominanceChecks();
+  ClaimGroup group(workers);
+  std::vector<std::function<void()>> tasks(
+      workers, [&group, &drain] { group.RunTask(drain); });
+  if (!pool->SubmitBatch(tasks)) {
+    // The pool is shutting down: finish the claims inline, where the
+    // calling thread's own counters charge them.
+    drain();
+    return;
+  }
+  const DominanceHarvest h = group.Wait();
   DominanceCounter::Count() += h.total;
   DominanceCounter::TiledCount() += h.tiled;
 }

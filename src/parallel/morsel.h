@@ -57,8 +57,9 @@ struct MorselConfig {
 /// called concurrently from any number of workers. The claim counter is a
 /// relaxed atomic (atomicity is all it needs: fetch_add uniqueness gives
 /// each claim exclusive rows and an exclusive slot; result publication
-/// ordering is carried by ThreadPool's mutex via Wait(), exactly like the
-/// documented harvest protocol).
+/// ordering is carried by the mutex of RunMorsels' per-call group: a task
+/// counts itself done under it, and the caller returns only after seeing
+/// every task done under it).
 class SKYDIVER_CAPABILITY("mutex") MorselQueue {
  public:
   /// One claimed unit of work: rows [begin, end), reduction slot `slot`.
@@ -133,11 +134,12 @@ class SKYDIVER_CAPABILITY("mutex") MorselQueue {
 /// the queue is drained inline, so the reduction is always complete when
 /// this returns.
 ///
-/// A pooled run keeps the dominance-count protocol of
-/// ThreadPool::HarvestDominanceChecks: counts earlier users left on the
-/// pool are dropped before the claims run, and the workers' counts are
-/// folded into the calling thread's DominanceCounter after, so callers
-/// measure a pooled run exactly like an inline one.
+/// A pooled run waits on a per-call group, not on the whole pool: its
+/// tasks count down the group's pending tally and charge the dominance
+/// checks they ran to it, and those checks are folded into the calling
+/// thread's DominanceCounter after, so callers measure a pooled run
+/// exactly like an inline one. Callers that share a pool concurrently
+/// wait only for their own claims and count only their own checks.
 ///
 /// `stall` is a test hook run after each claim BEFORE its body — the
 /// determinism stress suite injects random per-claim delays with it to

@@ -104,19 +104,16 @@ Result<MixedSigGenResult> MixedSigGenIF(const DataSet& data, const MixedSchema& 
     if (s >= n) return Status::InvalidArgument("skyline row out of range");
     is_skyline[s] = true;
   }
-  std::vector<uint32_t> row_hash(t);
+  RowHasher hasher(family);
   for (RowId r = 0; r < n; ++r) {
     if (is_skyline[r]) continue;
     const auto point = data.row(r);
-    bool hashed = false;
+    const uint32_t* row_hash = nullptr;
     for (size_t j = 0; j < m; ++j) {
       if (!MixedDominates(data.row(skyline[j]), point, schema)) continue;
       ++out.domination_scores[j];
-      if (!hashed) {
-        family.HashRow(r, row_hash.data());
-        hashed = true;
-      }
-      out.signatures.MergeMin(j, row_hash.data());
+      if (row_hash == nullptr) row_hash = hasher.Row(r);
+      out.signatures.MergeMin(j, row_hash);
     }
   }
   const uint64_t pages = SequentialScanPages(n, data.dims(), 4096);

@@ -74,7 +74,9 @@ RTree::RTree(Dim dims, RTreeConfig config)
       config_(config),
       leaf_capacity_(CapacityFor(config.page_size, LeafEntryBytes(dims))),
       internal_capacity_(CapacityFor(config.page_size, InternalEntryBytes(dims))) {
-  SKYDIVER_DCHECK_GE(dims, 1u);
+  // FinalizeCache casts ceil(cache_fraction * pages) to size_t, which is
+  // undefined for a NaN, negative or huge fraction: no tree holds one.
+  SKYDIVER_CHECK_OK(ValidateRTreeConfig(config, dims));
 }
 
 Result<RTree> RTree::BulkLoad(const DataSet& data, RTreeConfig config) {

@@ -67,7 +67,8 @@ struct RTreeNode {
 /// Aggregate R*-tree.
 class RTree {
  public:
-  /// Creates an empty tree over `dims`-dimensional points.
+  /// Creates an empty tree over `dims`-dimensional points. `config` must
+  /// pass ValidateRTreeConfig (checked: the process aborts otherwise).
   RTree(Dim dims, RTreeConfig config = {});
 
   /// Bulk-loads the whole dataset with Sort-Tile-Recursive packing, then

@@ -6,7 +6,10 @@
 // MBR) and the row id; internal entries store the MBR, child page and
 // aggregate count. A trailing FNV-1a checksum covers everything.
 
+#include <deque>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/binio.h"
 #include "rtree/rtree.h"
@@ -72,7 +75,9 @@ Result<RTree> RTree::LoadFromFile(const std::string& path) {
                            " nodes, more than the file holds");
   }
 
-  RTree tree(dims, config);
+  // The nodes are read before the tree exists: its constructor checks the
+  // paging values, which are validated below, after the file's own checks.
+  std::deque<RTreeNode> nodes;
   std::vector<Coord> lo, hi;
   for (uint64_t nidx = 0; nidx < node_count; ++nidx) {
     uint32_t id = 0;
@@ -89,8 +94,9 @@ Result<RTree> RTree::LoadFromFile(const std::string& path) {
                              std::to_string(entry_count) +
                              " entries, more than the file holds");
     }
-    const PageId page = tree.AllocateNode(is_leaf != 0);
-    RTreeNode& node = tree.Node(page);
+    RTreeNode& node = nodes.emplace_back();
+    node.id = id;
+    node.is_leaf = is_leaf != 0;
     node.entries.reserve(entry_count);
     if (entry_count > 0) {
       lo.resize(dims);
@@ -118,9 +124,11 @@ Result<RTree> RTree::LoadFromFile(const std::string& path) {
   if (Status s = ValidateRTreeConfig(config, dims); !s.ok()) {
     return Status::InvalidArgument("'" + path + "': " + s.message());
   }
-  if (root >= tree.store_.size() && node_count > 0) {
+  if (root >= nodes.size() && node_count > 0) {
     return Status::InvalidArgument("'" + path + "': root page out of range");
   }
+  RTree tree(dims, config);
+  tree.store_ = std::move(nodes);
   tree.root_ = root;
   tree.height_ = height;
   tree.size_ = size;

@@ -398,6 +398,17 @@ TEST(CpuTest, OverrideCanOnlyRestrict) {
   EXPECT_EQ(ApplyIsaOverride(SimdIsa::kAvx2, "avx2"), SimdIsa::kAvx2);
   EXPECT_EQ(ApplyIsaOverride(SimdIsa::kNone, "avx2"), SimdIsa::kNone);
   EXPECT_EQ(ApplyIsaOverride(SimdIsa::kAvx2, "neon"), SimdIsa::kNone);
+  // "avx512" is kept only on an AVX-512 probe.
+  EXPECT_EQ(ApplyIsaOverride(SimdIsa::kAvx512, "avx512"), SimdIsa::kAvx512);
+  EXPECT_EQ(ApplyIsaOverride(SimdIsa::kAvx2, "avx512"), SimdIsa::kNone);
+  EXPECT_EQ(ApplyIsaOverride(SimdIsa::kNeon, "avx512"), SimdIsa::kNone);
+  EXPECT_EQ(ApplyIsaOverride(SimdIsa::kNone, "avx512"), SimdIsa::kNone);
+  // An override only restricts: "avx2" on an AVX-512 probe gives AVX2,
+  // and the lower levels stay reachable from the top one.
+  EXPECT_EQ(ApplyIsaOverride(SimdIsa::kAvx512, "avx2"), SimdIsa::kAvx2);
+  EXPECT_EQ(ApplyIsaOverride(SimdIsa::kAvx512, "portable"), SimdIsa::kPortable);
+  EXPECT_EQ(ApplyIsaOverride(SimdIsa::kAvx512, "scalar"), SimdIsa::kNone);
+  EXPECT_EQ(ApplyIsaOverride(SimdIsa::kAvx512, "neon"), SimdIsa::kNone);
   // Unset or unrecognized values leave the probe untouched.
   EXPECT_EQ(ApplyIsaOverride(SimdIsa::kAvx2, nullptr), SimdIsa::kAvx2);
   EXPECT_EQ(ApplyIsaOverride(SimdIsa::kNeon, "sse9"), SimdIsa::kNeon);
@@ -407,7 +418,20 @@ TEST(CpuTest, IsaNamesRoundTrip) {
   EXPECT_STREQ(ToString(SimdIsa::kNone), "none");
   EXPECT_STREQ(ToString(SimdIsa::kPortable), "portable");
   EXPECT_STREQ(ToString(SimdIsa::kAvx2), "avx2");
+  EXPECT_STREQ(ToString(SimdIsa::kAvx512), "avx512");
   EXPECT_STREQ(ToString(SimdIsa::kNeon), "neon");
+}
+
+TEST(CpuTest, HostRunsFollowsTheProbeRanking) {
+  EXPECT_TRUE(HostRuns(SimdIsa::kNone));
+  EXPECT_TRUE(HostRuns(SimdIsa::kPortable));
+  EXPECT_TRUE(HostRuns(ProbeSimdIsa()));
+  // Every AVX-512 host runs AVX2 code too.
+  if (HostRuns(SimdIsa::kAvx512)) {
+    EXPECT_TRUE(HostRuns(SimdIsa::kAvx2));
+  }
+  EXPECT_TRUE(IncludesAvx2(SimdIsa::kAvx512));
+  EXPECT_FALSE(IncludesAvx2(SimdIsa::kPortable));
 }
 
 TEST(CpuTest, DetectIsStableAndConsistentWithAvailability) {

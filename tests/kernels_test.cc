@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/cpu.h"
@@ -22,6 +24,7 @@
 #include "engine/query_context.h"
 #include "engine/planner.h"
 #include "kernels/dominance_kernel.h"
+#include "kernels/simd_sweep.h"
 #include "kernels/skyline_blocks.h"
 #include "kernels/tile_view.h"
 #include "minhash/siggen.h"
@@ -322,6 +325,134 @@ TEST(DominanceKernelTest, FlavoursProduceIdenticalMasks) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Every batched backend against the scalar reference, entry point by entry
+// point: the tiled byte sweep and each simd sweep backend the host runs
+// (portable, avx2, avx512; a case whose ISA the host lacks is skipped).
+// Dims 1..16 cover the AVX-512 block loop at every unroll remainder, rows
+// 1..64 every ragged tail; the values mix NaN (a tie on either side),
+// +-inf, +-0 (equal) and ties.
+
+enum class Backend { kTiled, kPortable, kAvx2, kAvx512 };
+
+const char* BackendName(Backend backend) {
+  switch (backend) {
+    case Backend::kTiled: return "tiled";
+    case Backend::kPortable: return "portable";
+    case Backend::kAvx2: return "avx2";
+    case Backend::kAvx512: return "avx512";
+  }
+  return "?";
+}
+
+// The kernel under test, or nullopt when this build or host has no such
+// backend.
+std::optional<DominanceKernel> BackendKernel(Backend backend) {
+  switch (backend) {
+    case Backend::kTiled: return DominanceKernel(DomKernel::kTiled);
+    case Backend::kPortable: return DominanceKernel::SimdAt(SimdIsa::kPortable);
+    case Backend::kAvx2:
+      if (kernel_internal::Avx2Sweep() == nullptr || !HostRuns(SimdIsa::kAvx2)) break;
+      return DominanceKernel::SimdAt(SimdIsa::kAvx2);
+    case Backend::kAvx512:
+      if (kernel_internal::Avx512Sweep() == nullptr || !HostRuns(SimdIsa::kAvx512)) break;
+      return DominanceKernel::SimdAt(SimdIsa::kAvx512);
+  }
+  return std::nullopt;
+}
+
+class SweepBackendParityTest : public testing::TestWithParam<Backend> {};
+
+Coord EdgeValue(Rng& rng, Coord near) {
+  constexpr Coord kInf = std::numeric_limits<Coord>::infinity();
+  constexpr Coord kNaN = std::numeric_limits<Coord>::quiet_NaN();
+  switch (rng.NextInt(0, 9)) {
+    case 0: return kNaN;
+    case 1: return kInf;
+    case 2: return -kInf;
+    case 3: return 0.0;
+    case 4: return -0.0;
+    case 5: return near;  // a tie with the probe
+    default: return near + static_cast<Coord>(rng.NextInt(-1, 1));
+  }
+}
+
+TEST_P(SweepBackendParityTest, EveryEntryPointMatchesScalar) {
+  const std::optional<DominanceKernel> backend = BackendKernel(GetParam());
+  if (!backend) GTEST_SKIP() << "no " << BackendName(GetParam()) << " backend here";
+  const DominanceKernel& kernel = *backend;
+  const DominanceKernel scalar(DomKernel::kScalar);
+  Rng rng(0x5eed512);
+  for (Dim dims = 1; dims <= 16; ++dims) {
+    std::vector<Coord> probe(dims);
+    std::vector<Coord> point(dims);
+    for (size_t rows = 1; rows <= kTileRows; ++rows) {
+      for (Dim d = 0; d < dims; ++d) probe[d] = EdgeValue(rng, 1.0);
+      Tile tile(dims);
+      for (size_t r = 0; r < rows; ++r) {
+        for (Dim d = 0; d < dims; ++d) point[d] = EdgeValue(rng, probe[d]);
+        // Rows that match the probe on all but a few dims: the cases where
+        // every dimension decides the outcome.
+        if (r % 5 == 2) {
+          point = probe;
+          point[rng.NextInt(0, dims - 1)] += rng.NextInt(0, 1) == 0 ? -1.0 : 1.0;
+        }
+        tile.PushRow(static_cast<RowId>(r), point);
+      }
+      const TileView view = tile.view();
+      const std::string where = std::string(BackendName(GetParam())) +
+                                " dims=" + std::to_string(dims) +
+                                " rows=" + std::to_string(rows);
+      ASSERT_EQ(kernel.FilterDominated(probe, view), scalar.FilterDominated(probe, view))
+          << where;
+      ASSERT_EQ(kernel.FilterDominators(probe, view),
+                scalar.FilterDominators(probe, view))
+          << where;
+      ASSERT_EQ(kernel.FilterWeaklyDominated(probe, view),
+                scalar.FilterWeaklyDominated(probe, view))
+          << where;
+      ASSERT_EQ(kernel.AnyDominator(probe, view), scalar.AnyDominator(probe, view))
+          << where;
+      const BlockClassification got = kernel.ClassifyBlock(probe, view);
+      const BlockClassification want = scalar.ClassifyBlock(probe, view);
+      ASSERT_EQ(got.dominated, want.dominated) << where;
+      ASSERT_EQ(got.dominators, want.dominators) << where;
+
+      // PruneCorners: this tile's rows as corners against a second tile,
+      // both ragged.
+      Tile sky(dims);
+      const size_t sky_rows = 1 + (rows * 37) % kTileRows;
+      for (size_t s = 0; s < sky_rows; ++s) {
+        for (Dim d = 0; d < dims; ++d) point[d] = EdgeValue(rng, probe[d] - 1.0);
+        sky.PushRow(static_cast<RowId>(s), point);
+      }
+      ASSERT_EQ(kernel.PruneCorners(view, sky.view()),
+                scalar.PruneCorners(view, sky.view()))
+          << where << " sky=" << sky_rows;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, SweepBackendParityTest,
+                         testing::Values(Backend::kTiled, Backend::kPortable,
+                                         Backend::kAvx2, Backend::kAvx512),
+                         [](const testing::TestParamInfo<Backend>& info) {
+                           return std::string(BackendName(info.param));
+                         });
+
+TEST(SweepBackendTest, ResolvedBackendFollowsTheIsaRanking) {
+  const SimdIsa isa = DetectSimdIsa();
+  std::string want = "portable";
+  if (isa == SimdIsa::kAvx512 && kernel_internal::Avx512Sweep() != nullptr) {
+    want = "avx512";
+  } else if (IncludesAvx2(isa) && kernel_internal::Avx2Sweep() != nullptr) {
+    want = "avx2";
+  } else if (isa == SimdIsa::kNeon && kernel_internal::NeonSweep() != nullptr) {
+    want = "neon";
+  }
+  EXPECT_EQ(SweepBackend(), want);
 }
 
 // ---------------------------------------------------------------------------

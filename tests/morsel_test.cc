@@ -103,8 +103,8 @@ TEST(MorselQueueTest, NullPoolRunsEveryClaimInlineInSlotOrder) {
 }
 
 TEST(MorselQueueTest, PooledRunFoldsWorkerChecksIntoTheCaller) {
-  // Counts left on the pool by an earlier user are dropped; the claims'
-  // own counts reach the calling thread's counter.
+  // Counts left on the pool by an earlier user never reach the caller; the
+  // claims' own counts do, through the call's own group.
   ThreadPool pool(3);
   ASSERT_TRUE(pool.Submit([] { DominanceCounter::Count() += 1000; }));
   pool.Wait();
@@ -118,7 +118,57 @@ TEST(MorselQueueTest, PooledRunFoldsWorkerChecksIntoTheCaller) {
     for (uint64_t r = c.begin; r < c.end; ++r) EXPECT_TRUE(Dominates(a, b));
   });
   EXPECT_EQ(DominanceCounter::Count() - before, 50u);
-  EXPECT_EQ(pool.HarvestDominanceChecks().total, 0u);
+  // RunMorsels neither reads nor drains the pool-wide tally.
+  EXPECT_EQ(pool.HarvestDominanceChecks().total, 1050u);
+}
+
+TEST(MorselQueueTest, CallersSharingAPoolCountOnlyTheirOwnChecks) {
+  // Two threads each run pooled SigGen-IF passes on one shared pool at the
+  // same time. Each waits on its own claims only, so every pass reports
+  // exactly the checks of the inline run of its own input, and each
+  // thread's counter moves by exactly those checks.
+  const DataSet ind = GenerateWorkload(WorkloadKind::kIndependent, 4000, 4, 71).value();
+  const DataSet ant =
+      GenerateWorkload(WorkloadKind::kAnticorrelated, 3000, 4, 72).value();
+  struct Caller {
+    const DataSet* data;
+    std::vector<RowId> skyline;
+    MinHashFamily family;
+    uint64_t inline_checks = 0;
+    std::vector<uint64_t> pooled_checks;
+    uint64_t counted = 0;
+  };
+  std::vector<Caller> callers;
+  for (const DataSet* data : {&ind, &ant}) {
+    Caller c{data, SkylineSFS(*data).rows, MinHashFamily::Create(16, data->size(), 5), 0,
+             {}, 0};
+    c.inline_checks =
+        SigGenIF(*data, c.skyline, c.family, DomKernel::kSimd).value().dominance_checks;
+    callers.push_back(std::move(c));
+  }
+  ThreadPool pool(2);
+  constexpr int kPasses = 8;
+  // Raw threads on purpose: the callers must run outside the pool they
+  // share.
+  std::vector<std::thread> threads;  // skylint:allow(determinism)
+  for (Caller& c : callers) {
+    threads.emplace_back([&c, &pool] {
+      const uint64_t before = DominanceCounter::Count();
+      for (int pass = 0; pass < kPasses; ++pass) {
+        c.pooled_checks.push_back(
+            SigGenIF(*c.data, c.skyline, c.family, DomKernel::kSimd, &pool, 64)
+                .value()
+                .dominance_checks);
+      }
+      c.counted = DominanceCounter::Count() - before;
+    });
+  }
+  for (std::thread& t : threads) t.join();  // skylint:allow(determinism)
+  for (const Caller& c : callers) {
+    ASSERT_EQ(c.pooled_checks.size(), static_cast<size_t>(kPasses));
+    for (const uint64_t checks : c.pooled_checks) EXPECT_EQ(checks, c.inline_checks);
+    EXPECT_EQ(c.counted, kPasses * c.inline_checks);
+  }
 }
 
 TEST(MorselQueueTest, ConcurrentClaimsAreExactlyOnce) {

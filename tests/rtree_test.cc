@@ -273,6 +273,21 @@ TEST(RTreeTest, CapacitiesFollowPageSize) {
   EXPECT_EQ(tree.InternalCapacity(), (4096u - 16u) / 76u);
 }
 
+TEST(RTreeDeathTest, ConstructorRejectsAnInvalidConfig) {
+  // The public constructor checks its config, so FinalizeCache's cast of
+  // ceil(cache_fraction * pages) to size_t never sees these fractions.
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double fraction : {kNaN, -1.0, 0.0, 1e30}) {
+    RTreeConfig config;
+    config.cache_fraction = fraction;
+    EXPECT_DEATH(RTree(4, config), "cache fraction") << fraction;
+  }
+  RTreeConfig small_pages;
+  small_pages.page_size = 16;
+  EXPECT_DEATH(RTree(4, small_pages), "page size");
+  EXPECT_DEATH(RTree(0, RTreeConfig{}), "dimensions");
+}
+
 TEST(RTreeTest, SmallerPagesMakeDeeperTrees) {
   const DataSet data = GenerateIndependent(5000, 2, 53);
   RTreeConfig small;

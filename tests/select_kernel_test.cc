@@ -41,7 +41,7 @@ uint32_t RandomLane(Rng& rng) {
 void ExpectRowMatchesScalarLoop(kernel_internal::AgreeRowFn fn, const char* name) {
   Rng rng(0x726f77);
   constexpr uint32_t kUnwritten = 0xdeadbeef;
-  for (size_t width : {1, 7, 8, 9, 25, 50, 100, 257}) {
+  for (size_t width : {1, 7, 8, 9, 15, 16, 17, 25, 50, 100, 257}) {
     for (int trial = 0; trial < 10; ++trial) {
       const size_t n = 1 + rng.NextBounded(40);
       std::vector<uint32_t> pivot(width);
@@ -85,21 +85,36 @@ TEST(AgreeRowTest, PortableBackendMatchesScalarLoop) {
   ExpectRowMatchesScalarLoop(kernel_internal::PortableAgreeRow(), "portable");
 }
 
+// An AVX-512 host runs the AVX2 backend too (it is what
+// SKYDIVER_FORCE_ISA=avx2 resolves to there), so the case runs on both.
 TEST(AgreeRowTest, Avx2BackendMatchesScalarLoop) {
   const auto avx2 = kernel_internal::Avx2AgreeRow();
-  if (avx2 == nullptr || ProbeSimdIsa() != SimdIsa::kAvx2) {
+  if (avx2 == nullptr || !HostRuns(SimdIsa::kAvx2)) {
     GTEST_SKIP() << "no AVX2 backend on this build or host";
   }
   ExpectRowMatchesScalarLoop(avx2, "avx2");
 }
 
+TEST(AgreeRowTest, Avx512BackendMatchesScalarLoop) {
+  const auto avx512 = kernel_internal::Avx512AgreeRow();
+  if (avx512 == nullptr || !HostRuns(SimdIsa::kAvx512)) {
+    GTEST_SKIP() << "no AVX-512 backend on this build or host";
+  }
+  ExpectRowMatchesScalarLoop(avx512, "avx512");
+}
+
 TEST(AgreeRowTest, ResolvedBackendMatchesScalarLoop) {
   ExpectRowMatchesScalarLoop(&AgreeRow, AgreeRowBackend());
-  const std::string backend = AgreeRowBackend();
-  EXPECT_TRUE(backend == "avx2" || backend == "portable") << backend;
-  if (DetectSimdIsa() != SimdIsa::kAvx2) {
-    EXPECT_EQ(backend, "portable");
+  // The best backend the resolved level allows: forcing avx2 on an
+  // AVX-512 host runs the AVX2 backend.
+  const SimdIsa isa = DetectSimdIsa();
+  std::string want = "portable";
+  if (isa == SimdIsa::kAvx512 && kernel_internal::Avx512AgreeRow() != nullptr) {
+    want = "avx512";
+  } else if (IncludesAvx2(isa) && kernel_internal::Avx2AgreeRow() != nullptr) {
+    want = "avx2";
   }
+  EXPECT_EQ(AgreeRowBackend(), want);
 }
 
 // ---------------------------------------------------------------------------

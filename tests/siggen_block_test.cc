@@ -243,6 +243,43 @@ TEST_P(SigGenIfBlocksTest, SerialPooledAndKernelsAgreeBitForBit) {
   }
 }
 
+TEST_P(SigGenIfBlocksTest, SignaturesMatchPerRowHashing) {
+  // SigGen-IF steps each dominated row's hashes from the previous one
+  // (RowHasher); the reference hashes every dominated row afresh with
+  // HashRow over an exhaustive scan. Inline and pooled runs must match it
+  // bit for bit.
+  const DataSet data = GenerateWorkload(GetParam(), 2500, 4, 0x3f).value();
+  const auto skyline = SkylineSFS(data).rows;
+  const auto family = MinHashFamily::Create(40, data.size(), 0x6b);
+  SignatureMatrix want(family.size(), skyline.size());
+  std::vector<uint64_t> want_scores(skyline.size(), 0);
+  std::vector<uint32_t> row(family.size());
+  for (RowId r = 0; r < data.size(); ++r) {
+    for (size_t j = 0; j < skyline.size(); ++j) {
+      if (!RefDominates(data.row(skyline[j]), data.row(r))) continue;
+      family.HashRow(r, row.data());
+      want.MergeMin(j, row.data());
+      ++want_scores[j];
+    }
+  }
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (const size_t morsel : {size_t{1}, size_t{64}}) {
+      const SigGenResult got =
+          SigGenIF(data, skyline, family, DomKernel::kSimd, p, morsel).value();
+      const std::string what = (p == nullptr ? "inline" : "pooled") +
+                               std::string(" morsel=") + std::to_string(morsel);
+      EXPECT_EQ(got.domination_scores, want_scores) << what;
+      for (size_t j = 0; j < skyline.size(); ++j) {
+        for (size_t i = 0; i < family.size(); ++i) {
+          ASSERT_EQ(got.signatures.at(j, i), want.at(j, i))
+              << what << ": col " << j << " slot " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST_P(SigGenIfBlocksTest, GammaSetsMatchExhaustiveScan) {
   const DataSet data = GenerateWorkload(GetParam(), 1500, 4, 0x2f).value();
   const auto skyline = SkylineSFS(data).rows;

@@ -49,7 +49,7 @@ std::vector<uint32_t> RandomSlots(Rng& rng, size_t n) {
 
 void ExpectBackendMatchesScalarLoop(kernel_internal::MergeMinFn fn, const char* name) {
   Rng rng(0x6d65);
-  for (size_t t : {1, 7, 8, 9, 100, 257}) {
+  for (size_t t : {1, 7, 8, 9, 15, 16, 17, 25, 100, 257}) {
     for (int trial = 0; trial < 20; ++trial) {
       const std::vector<uint32_t> src = RandomSlots(rng, t);
       std::vector<uint32_t> dst = RandomSlots(rng, t);
@@ -65,21 +65,36 @@ TEST(MergeMinTest, PortableBackendMatchesScalarLoop) {
   ExpectBackendMatchesScalarLoop(kernel_internal::PortableMergeMin(), "portable");
 }
 
+// An AVX-512 host runs the AVX2 backend too (it is what
+// SKYDIVER_FORCE_ISA=avx2 resolves to there), so the case runs on both.
 TEST(MergeMinTest, Avx2BackendMatchesScalarLoop) {
   const auto avx2 = kernel_internal::Avx2MergeMin();
-  if (avx2 == nullptr || ProbeSimdIsa() != SimdIsa::kAvx2) {
+  if (avx2 == nullptr || !HostRuns(SimdIsa::kAvx2)) {
     GTEST_SKIP() << "no AVX2 backend on this build or host";
   }
   ExpectBackendMatchesScalarLoop(avx2, "avx2");
 }
 
+TEST(MergeMinTest, Avx512BackendMatchesScalarLoop) {
+  const auto avx512 = kernel_internal::Avx512MergeMin();
+  if (avx512 == nullptr || !HostRuns(SimdIsa::kAvx512)) {
+    GTEST_SKIP() << "no AVX-512 backend on this build or host";
+  }
+  ExpectBackendMatchesScalarLoop(avx512, "avx512");
+}
+
 TEST(MergeMinTest, ResolvedBackendMatchesScalarLoop) {
   ExpectBackendMatchesScalarLoop(&MergeMin, MergeMinBackend());
-  const std::string backend = MergeMinBackend();
-  EXPECT_TRUE(backend == "avx2" || backend == "portable") << backend;
-  if (DetectSimdIsa() != SimdIsa::kAvx2) {
-    EXPECT_EQ(backend, "portable");
+  // The best backend the resolved level allows: forcing avx2 on an
+  // AVX-512 host runs the AVX2 backend.
+  const SimdIsa isa = DetectSimdIsa();
+  std::string want = "portable";
+  if (isa == SimdIsa::kAvx512 && kernel_internal::Avx512MergeMin() != nullptr) {
+    want = "avx512";
+  } else if (IncludesAvx2(isa) && kernel_internal::Avx2MergeMin() != nullptr) {
+    want = "avx2";
   }
+  EXPECT_EQ(MergeMinBackend(), want);
 }
 
 // ---------------------------------------------------------------------------
